@@ -6,6 +6,11 @@ Learnable query tokens are prepended to the visual tokens, self-attention
 runs over the concatenation, and the post-self-attention query positions
 serve as keys/values for cross-attention with the question text. The output
 therefore always has one vector per text token, whatever the frame budget.
+
+Only the query positions of the last self-attention block are ever read, so
+that block is computed for those rows alone: Q queries against all Q + Lv
+keys, O(Q * L) instead of O(L^2). At T=128 frames that is 8 of 520 rows.
+Visual tokens still receive gradient through the keys and values.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ class QFormerParams:
              rng: np.random.Generator, num_heads: int = 1, depth: int = 1) -> "QFormerParams":
         if num_queries < 1:
             raise ValueError("need at least one query token")
+        if depth < 1:
+            raise ValueError(f"need at least one self-attention block, got depth={depth}")
         q = Tensor(rng.normal(size=(num_queries, d_model)), requires_grad=True)
         self_blocks = [nn.AttentionParams.init(d_model, num_heads, rng) for _ in range(depth)]
         cross = nn.AttentionParams.init(d_model, num_heads, rng)
@@ -64,6 +71,12 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
     budget is enforced on the raw token count when no mask is given and on
     the per-row attendable count for exact 0/1 masks (straight-through);
     strictly relaxed masks are the budget's differentiable surrogate.
+
+    Every self-attention block but the last updates the whole sequence. The
+    last one computes only the query rows, as cross-attention from the query
+    positions to the full sequence: nothing reads its visual rows. This
+    equals full self-attention followed by `narrow` up to rounding (the BLAS
+    sums a row subset of a matmul in a different order).
     """
     b, lv, d = visual_tokens.shape
     limit = params.frame_budget * params.patches
@@ -87,9 +100,10 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
     mask = None
     if visual_key_mask is not None:
         mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
-    for block in params.self_attn:
+    *body, last = params.self_attn
+    for block in body:
         seq = nn.self_attention(block, seq, key_mask=mask)
-    fused_queries = T.narrow(seq, 1, 0, q)
+    fused_queries = nn.cross_attention(last, T.narrow(seq, 1, 0, q), seq, key_mask=mask)
     return nn.cross_attention(params.cross_attn, text_tokens, fused_queries)
 
 

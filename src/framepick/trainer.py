@@ -10,13 +10,12 @@ functions of (seed, config) and resumable from mid-run checkpoints.
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -436,19 +435,30 @@ def save_checkpoint(path, stage: str, step: int, tensors: dict, config_digest: s
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a `save_checkpoint` file; ValueError naming `path` if it is corrupt.
+
+    The payload must hold exactly the float64 tensors the header declares:
+    a truncated file and trailing bytes are both rejected.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != CKPT_FORMAT:
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from None
+        if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"{path} is not a recognized checkpoint")
         payload = fh.read()
+    counts = {name: int(np.prod(meta["shape"])) for name, meta in header["tensors"].items()}
+    expected = 8 * sum(counts.values())
+    if len(payload) != expected:
+        kind = "truncated" if len(payload) < expected else "has trailing bytes"
+        raise ValueError(f"{path}: checkpoint payload {kind}: {len(payload)} bytes, "
+                         f"header declares {expected}")
     tensors = {}
     for name, meta in header["tensors"].items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = meta["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
-        tensors[name] = arr.astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f8", count=counts[name], offset=meta["offset"])
+        tensors[name] = arr.reshape(tuple(meta["shape"])).astype(np.float64)
     return Checkpoint(stage=header["stage"], step=header["step"],
                       config_digest=header["config_digest"],
                       rng_state=header.get("rng_state"), tensors=tensors)
@@ -480,7 +490,8 @@ def _opt_tensors(state: AdamWState) -> dict:
 
 def _opt_from_tensors(tensors: dict) -> AdamWState:
     state = AdamWState()
-    state.step = int(tensors.get("opt.step", np.asarray(0.0)))
+    # .item(): save_checkpoint stores the 0-d step as shape (1,)
+    state.step = int(tensors.get("opt.step", np.asarray(0.0)).item())
     for name, arr in tensors.items():
         if name.startswith("opt.m."):
             state.m[name[len("opt.m."):]] = arr.copy()
@@ -682,7 +693,7 @@ def _batch_recall(mask: SelectionMask, batch: Batch, cfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and latency
+# evaluation
 
 def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
              mode: str = "hard", tau: float | None = None, step: int = 0,
@@ -724,55 +735,3 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
                      tau=tau if stage == STAGE_STUDENT and mode != "hard" else None,
                      wallclock_ms=(time.perf_counter() - t0) * 1e3)
     return row, selections
-
-
-def bench_latency(bundle: ModelBundle, cfg: TrainConfig, samples, frame_counts,
-                  batch_size: int = 4, timed_batches: int = 200, warmup: int = 20,
-                  model: str = "student"):
-    """Median/p95 wallclock per video for each frame budget.
-
-    The configured selector count runs the full student pipeline (selection
-    included); other budgets push an evenly-spaced pick straight through
-    fusion, so the top budget measures the no-selection cost.
-    """
-    if not frame_counts:
-        raise ValueError("frame_counts must not be empty")
-    pcfg = cfg.prompter_cfg
-    results = []
-    for f in frame_counts:
-        if not 1 <= f <= pcfg.frames:
-            raise ValueError(f"frame count {f} outside [1, {pcfg.frames}]")
-        per_video = []
-        for i in range(warmup + timed_batches):
-            lo = (i * batch_size) % max(1, len(samples) - batch_size)
-            batch = make_batch(samples[lo:lo + batch_size])
-            t0 = time.perf_counter()
-            if model == "teacher":
-                teacher_forward(bundle, batch, cfg)
-            elif f == pcfg.segments and bundle.prompter_params is not None:
-                student_forward(bundle, batch, cfg, "infer")
-            else:
-                _fusion_only_forward(bundle, batch, cfg, f)
-            dt = time.perf_counter() - t0
-            if i >= warmup:
-                per_video.append(dt * 1e3 / batch_size)
-        arr = np.array(per_video)
-        results.append({"frames": int(f),
-                        "median_ms": float(np.median(arr)),
-                        "p95_ms": float(np.percentile(arr, 95)),
-                        "mean_ms": float(arr.mean())})
-    return results
-
-
-def _fusion_only_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, f: int):
-    b, t, n, _ = batch.raw.shape
-    d = cfg.prompter_cfg.d_model
-    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
-    tokens4d = T.matmul(feats, bundle.student_proj)
-    picks = np.tile(np.array(synth.uniform_frame_indices(t, f)), (b, 1))
-    vis = T.reshape(T.gather_frames(tokens4d, picks), (b, f * n, d))
-    text = surrogates.encode_text(batch.questions, bundle.text_enc)
-    qf = replace(bundle.student_qf, frame_budget=max(bundle.student_qf.frame_budget, f))
-    fused = qformer.qformer_forward(qf, vis, text)
-    choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
-    return surrogates.score_answers(fused, choices, bundle.answer)

@@ -1,0 +1,37 @@
+import pytest
+
+from framepick import checks
+from framepick import tensor as T
+
+
+@pytest.mark.parametrize("scope", sorted(checks.SCOPES))
+def test_scope_passes(scope):
+    reports = checks.run_scope(scope)
+    assert reports
+    failed = [r for r in reports if not r.passed]
+    assert not failed, failed
+
+
+def test_unknown_scope_rejected():
+    with pytest.raises(ValueError, match="unknown gradcheck scope"):
+        checks.run_scope("everything")
+
+
+def with_scaled_backward(op, factor=1.5):
+    """`op` with a backward that is off by `factor`: a planted gradient bug."""
+    def wrong(*args, **kwargs):
+        out = op(*args, **kwargs)
+        if out.requires_grad:
+            bw = out._bw
+            out._bw = lambda g: bw(factor * g)
+        return out
+    return wrong
+
+
+def test_wrong_backward_is_reported(monkeypatch):
+    monkeypatch.setattr(T, "softmax", with_scaled_backward(T.softmax))
+    reports = checks.run_scope("ops")
+    failed = {r.name.split("[")[0] for r in reports if not r.passed}
+    assert failed == {"softmax"}
+    # the composed fusion suite runs through attention and catches it too
+    assert not all(r.passed for r in checks.run_scope("qformer"))

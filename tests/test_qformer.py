@@ -97,6 +97,86 @@ class TestQFormerForward:
         assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-5).passed
 
 
+def full_rows_forward(params, vis, text, visual_key_mask=None):
+    """Reference fusion: every self-attention block over every row, then narrow."""
+    b, _, d = vis.shape
+    q = params.num_queries
+    seq = T.concat([T.broadcast_to(T.reshape(params.query_tokens, (1, q, d)), (b, q, d)), vis], axis=1)
+    mask = None
+    if visual_key_mask is not None:
+        mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
+    for block in params.self_attn:
+        seq = nn.self_attention(block, seq, key_mask=mask)
+    return nn.cross_attention(params.cross_attn, text, T.narrow(seq, 1, 0, q))
+
+
+def assert_close(actual, expected, rel=1e-12):
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestLastBlockQueryRows:
+    """qformer_forward computes only the query rows of the last block; it must
+    equal the full-rows reference in outputs and in every gradient."""
+
+    B, FRAMES, PATCHES, D, Q = 2, 4, 3, 8, 3
+
+    def run(self, forward, params, vis, text, mask_kind, readout):
+        for p in params.named("qf").values():
+            p.grad = None
+        vis_t = Tensor(vis.copy(), requires_grad=True)
+        mask_t = None
+        if mask_kind == "hard":
+            hard = np.ones((self.B, self.FRAMES * self.PATCHES))
+            hard[0, :self.PATCHES] = 0.0
+            hard[1, -2 * self.PATCHES:] = 0.0
+            mask_t = Tensor(hard)
+        elif mask_kind == "relaxed":
+            mask_t = Tensor(np.random.default_rng(3).uniform(0.1, 0.9, size=vis.shape[:2]),
+                            requires_grad=True)
+        out = forward(params, vis_t, Tensor(text), visual_key_mask=mask_t)
+        backward(T.sum_all(T.mul(out, Tensor(readout))))
+        grads = {name: p.grad.copy() for name, p in params.named("qf").items()}
+        grads["visual_tokens"] = vis_t.grad
+        if mask_kind == "relaxed":
+            grads["mask"] = mask_t.grad
+        return out.data, grads
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mask_kind", ["none", "hard", "relaxed"])
+    def test_matches_full_rows_reference(self, depth, mask_kind):
+        rng = np.random.default_rng(40 + depth)
+        params = QFormerParams.init(self.D, self.Q, self.FRAMES, self.PATCHES, rng,
+                                    num_heads=2, depth=depth)
+        vis = rng.normal(size=(self.B, self.FRAMES * self.PATCHES, self.D))
+        text = rng.normal(size=(self.B, 4, self.D))
+        readout = rng.normal(size=(self.B, 4, self.D))
+        out, grads = self.run(qformer_forward, params, vis, text, mask_kind, readout)
+        ref_out, ref_grads = self.run(full_rows_forward, params, vis, text, mask_kind, readout)
+        assert_close(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            assert np.any(ref_grads[name] != 0.0), name
+            assert_close(grads[name], ref_grads[name])
+
+    def test_straight_through_mask_over_budget_raises(self):
+        rng = np.random.default_rng(2)
+        params = QFormerParams.init(self.D, self.Q, 2, self.PATCHES, rng)
+        lv = self.FRAMES * self.PATCHES
+        hard = np.zeros((1, lv))
+        hard[0, :3 * self.PATCHES] = 1.0  # three frames against a budget of two
+        soft = T.softmax(Tensor(rng.normal(size=(1, lv)), requires_grad=True), axis=-1)
+        mask = T.add(Tensor(hard), T.sub(soft, soft.detach()))
+        assert np.array_equal(mask.data, hard)
+        with pytest.raises(ValueError, match="budget"):
+            qformer_forward(params, Tensor(rng.normal(size=(1, lv, self.D))),
+                            Tensor(rng.normal(size=(1, 2, self.D))), visual_key_mask=mask)
+
+    def test_depth_below_one_rejected(self, rng):
+        with pytest.raises(ValueError, match="depth"):
+            QFormerParams.init(4, 2, 2, 2, rng, depth=0)
+
+
 class TestDistillDecoder:
     def test_identity_fc_with_unit_ln_gives_layer_norm(self, rng):
         d = 4
