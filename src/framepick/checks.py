@@ -1,16 +1,17 @@
 """Finite-difference verification suites.
 
-Each suite returns a list of GradCheckReport; the CLI gradcheck command and
-the acceptance tests both run them. Sample points are jittered away from
-non-smooth loci (relu kinks, argmax ties), and relu at exactly 0 is excluded
-by construction rather than special-cased.
+Each suite returns a list of GradCheckReport. `run_scope` runs one suite by
+its `SCOPES` name, and tests/test_checks.py runs every scope through it; the
+package has no command-line entry point yet. Sample points are jittered
+away from non-smooth loci (relu kinks, argmax ties), and relu at exactly 0
+is excluded by construction rather than special-cased.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import nn, prompter, qformer, surrogates, trainer
+from . import nn, prompter, qformer, trainer
 from . import tensor as T
 from .tensor import GradCheckReport, Tensor, backward, grad_check
 
@@ -196,18 +197,22 @@ def grad_check_param(loss_fn, param: Tensor, all_params, coords: np.ndarray,
 
 
 def run_end2end_suite(seed: int = 0, tol: float = 1e-4, coords_per_param: int = 24):
-    """Full student training loss on a 2-sample batch, sampled coordinates.
+    """The stage-2 training loss (`trainer.student_loss`) on a 2-sample batch,
+    at sampled coordinates.
 
     Uses the relaxed (non straight-through) path so the loss is smooth in
-    every checked parameter.
+    every checked parameter. Each evaluation draws its Gumbel noise from a
+    fresh generator with the same seed, so every call sees the same draw.
     """
     from . import synth
 
     rng = np.random.default_rng(seed)
     spec = synth.DatasetSpec(num_train=4, num_val=2, frames=8, patches=3, raw_dim=12,
                              num_keyframes=2, num_attributes=2, seed=seed)
+    # step 0 of the schedule runs at tau_start
     pcfg = prompter.FramePrompterConfig(frames=8, segments=2, patches=3, channels=4,
-                                        d_model=12, embed_hidden=6, straight_through=False)
+                                        d_model=12, embed_hidden=6, tau_start=0.5,
+                                        straight_through=False)
     cfg = trainer.TrainConfig(seed=seed, teacher_steps=1, student_steps=1,
                               prompter_cfg=pcfg, qformer_cfg=trainer.QFormerConfig(num_queries=3),
                               data=spec)
@@ -215,24 +220,10 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4, coords_per_param: int = 
     bundle = trainer.build_models(cfg)
     trainer.set_stage(bundle, trainer.STAGE_STUDENT, cfg)
     batch = trainer.make_batch(train_samples[:2])
-    noise = rng.gumbel(size=(2, pcfg.segments, pcfg.frames_per_segment))
 
     def total_loss():
-        feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
-        tokens4d = T.matmul(feats, bundle.student_proj)
-        text = surrogates.encode_text(batch.questions, bundle.text_enc)
-        fused, mask = prompter.select_frames(feats, tokens4d, text, bundle.prompter_params,
-                                             pcfg, "train", tau=0.5, noise=noise)
-        b, t, n, d = tokens4d.shape
-        key_mask = T.reshape(T.broadcast_to(T.reshape(mask.mask_tensor(), (b, t, 1)), (b, t, n)), (b, t * n))
-        x_student = qformer.qformer_forward(bundle.student_qf, T.reshape(tokens4d, (b, t * n, d)),
-                                            text, visual_key_mask=key_mask)
-        _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
-        logits = surrogates.score_answers(T.add(x_student, fused),
-                                          surrogates.encode_choices(batch.choices, bundle.text_enc),
-                                          bundle.answer)
-        loss_vqa = surrogates.vqa_loss(logits, batch.answers)
-        return T.add(loss_vqa, qformer.distill_loss(bundle.decoder, x_student, x_teacher))
+        loss, _, _ = trainer.student_loss(bundle, batch, cfg, 0, np.random.default_rng(seed))
+        return loss
 
     targets = {
         "select_head": bundle.prompter_params.select_head.steps[0][1],

@@ -105,10 +105,6 @@ class SelectionMask:
     per_segment: Tensor | None = None
     per_segment_hard: np.ndarray | None = None
 
-    def mask_tensor(self) -> Tensor:
-        """The [B, T] mask to weight attention keys with."""
-        return self.soft if self.soft is not None else Tensor(self.hard)
-
 
 def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """[B, T, N, C] -> mean over channels -> per-frame MLP -> [B, T, N]."""
@@ -234,6 +230,30 @@ def free_form_mask(embedded: Tensor, params: FramePrompterParams, cfg: FrameProm
     return SelectionMask(hard=hard, selected=selected, soft=keep)
 
 
+def frame_keys(x_tokens: Tensor, mask: SelectionMask, relaxed: bool):
+    """[B, T, N, d] frame tokens -> (keys [B, L, d], per-token key mask [B, L] or None).
+
+    relaxed: every frame stays a key, weighted by the differentiable
+    `mask.soft` (by `mask.hard` when none was sampled). Otherwise the
+    selected frames are gathered when every row picked the same number of
+    them; ragged (free-form) picks keep every frame under a 0/1 key mask,
+    which removes the unselected ones exactly and so equals a per-row
+    gather.
+    """
+    b, t, n, d = x_tokens.shape
+    if not relaxed:
+        counts = {len(row) for row in mask.selected}
+        if 0 in counts:
+            raise ValueError("no attendable keys: a batch row selected zero frames")
+        if len(counts) == 1:
+            idx = np.array(mask.selected)
+            gathered = T.gather_frames(x_tokens, idx)  # [B, S, N, d]
+            return T.reshape(gathered, (b, idx.shape[1] * n, d)), None
+    weights = mask.soft if relaxed and mask.soft is not None else Tensor(mask.hard)  # [B, T]
+    per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
+    return T.reshape(x_tokens, (b, t * n, d)), per_token
+
+
 def apply_mask_and_fuse(x_tokens: Tensor, mask: SelectionMask, text: Tensor,
                         params: FramePrompterParams, cfg: FramePrompterConfig,
                         hard: bool = False) -> Tensor:
@@ -243,25 +263,11 @@ def apply_mask_and_fuse(x_tokens: Tensor, mask: SelectionMask, text: Tensor,
     mode keeps every frame and applies the mask as additive log-weights on
     the attention logits (exact key removal in the hard limit).
     """
-    b, t, n, d = x_tokens.shape
+    _, t, n, d = x_tokens.shape
     if t != cfg.frames or n != cfg.patches or d != cfg.d_model:
         raise ValueError(f"expected [B, {cfg.frames}, {cfg.patches}, {cfg.d_model}] tokens, got {x_tokens.shape}")
-    if hard:
-        counts = {len(row) for row in mask.selected}
-        if 0 in counts:
-            raise ValueError("no attendable keys: a batch row selected zero frames")
-        if len(counts) == 1:
-            idx = np.array(mask.selected)
-            gathered = T.gather_frames(x_tokens, idx)  # [B, S, N, d]
-            kv = T.reshape(gathered, (b, idx.shape[1] * n, d))
-            return nn.cross_attention(params.guide_attn, text, kv)
-        # variable-size selections (free-form design): a 0/1 key mask removes
-        # unselected frames exactly, so this equals a per-row gather
-        mask = SelectionMask(hard=mask.hard, selected=mask.selected, soft=Tensor(mask.hard))
-    weights = mask.mask_tensor()  # [B, T]
-    per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
-    kv = T.reshape(x_tokens, (b, t * n, d))
-    return nn.cross_attention(params.guide_attn, text, kv, key_mask=per_token)
+    keys, key_mask = frame_keys(x_tokens, mask, relaxed=not hard)
+    return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
 
 
 def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,

@@ -4,8 +4,11 @@ Stage 1 trains the teacher fusion model (plus text encoder and answer head)
 on all frames with the answer loss only. Stage 2 freezes those and trains
 the student fusion model, the frame selector and the distillation decoder
 against answer loss + lambda * feature-distillation loss, with the Gumbel
-temperature annealed geometrically. Both stages are bitwise deterministic
-functions of (seed, config) and resumable from mid-run checkpoints.
+temperature annealed geometrically. Both stages run one loop (`_run_stage`);
+`train_teacher` and `train_student` give it their model, random stream,
+step count and loss (`teacher_loss`, `student_loss`). Both stages are
+bitwise deterministic functions of (seed, config) and resumable from
+mid-run checkpoints, also into the run's own output directory.
 """
 
 from __future__ import annotations
@@ -240,8 +243,7 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     With no selector configured, an evenly-spaced hard pick stands in.
     """
     pcfg = cfg.prompter_cfg
-    b, t, n, _ = batch.raw.shape
-    d = pcfg.d_model
+    b, t, _, _ = batch.raw.shape
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
     tokens4d = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
@@ -253,20 +255,9 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     else:
         mask = uniform_selection(t, pcfg.segments, b)
 
-    ragged = len({len(row) for row in mask.selected}) != 1
-    if (mode == "train" and mask.soft is not None) or ragged:
-        # relaxed mask over every frame, or a 0/1 mask standing in for a
-        # ragged hard gather (free-form selections vary per row)
-        weights = mask.mask_tensor() if mode == "train" else Tensor(mask.hard)
-        vis = T.reshape(tokens4d, (b, t * n, d))
-        key_mask = T.reshape(
-            T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
-        x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
-    else:
-        idx = np.array(mask.selected)
-        gathered = T.gather_frames(tokens4d, idx)
-        vis = T.reshape(gathered, (b, idx.shape[1] * n, d))
-        x_student = qformer.qformer_forward(bundle.student_qf, vis, text)
+    # the uniform pick has no relaxed mask, so training gathers it too
+    vis, key_mask = prompter.frame_keys(tokens4d, mask, relaxed=mode == "train" and mask.soft is not None)
+    x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
 
     answer_input = T.add(x_student, fused_guide) if fused_guide is not None else x_student
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
@@ -365,18 +356,26 @@ class MetricsWriter:
     """Deterministic CSV of MetricsRow fields plus a JSONL mirror.
 
     Wallclock timings go to the JSONL mirror only, keeping metrics.csv a
-    bitwise-reproducible function of (seed, config).
+    bitwise-reproducible function of (seed, config). Both files start
+    empty, except for the rows of an existing JSONL mirror that
+    `keep(step, split)` selects: a resumed run rewrites its earlier rows.
     """
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, keep=None):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         self.csv_path = out_dir / "metrics.csv"
         self.jsonl_path = out_dir / "metrics.jsonl"
+        kept = []
+        if keep is not None and self.jsonl_path.exists():
+            with open(self.jsonl_path) as fh:
+                kept = [MetricsRow(**r) for r in map(json.loads, fh) if keep(r["step"], r["split"])]
         self._csv_file = open(self.csv_path, "w", newline="")
         self._writer = csv.writer(self._csv_file)
         self._writer.writerow(METRIC_FIELDS)
         self._jsonl_file = open(self.jsonl_path, "w")
+        for row in kept:
+            self.write(row)
 
     def write(self, row: MetricsRow) -> None:
         self._writer.writerow(row.csv_values())
@@ -526,9 +525,112 @@ def _draw_batch(samples, batch_size: int, rng: np.random.Generator) -> Batch:
     return make_batch([samples[int(i)] for i in idx])
 
 
-def _check_finite_loss(value: float, step: int) -> None:
-    if not math.isfinite(value):
-        raise RuntimeError(f"non-finite loss at step {step}; aborting")
+def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
+                 rng: np.random.Generator):
+    """Stage 1 loss (answer loss on all frames), answer logits, MetricsRow fields."""
+    logits, _ = teacher_forward(bundle, batch, cfg)
+    loss = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
+    return loss, logits, {"loss_vqa": loss.item()}
+
+
+def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
+                 rng: np.random.Generator):
+    """Stage 2 loss, answer logits and MetricsRow fields.
+
+    Answer loss on the selected frames, drawn with `rng` at the step's Gumbel
+    temperature, plus lambda * distillation loss against the all-frames
+    teacher when the bundle has a decoder.
+    """
+    tau = prompter.tau_schedule(step, cfg.student_steps, cfg.prompter_cfg)
+    logits, x_student, mask = student_forward(bundle, batch, cfg, "train", tau=tau, rng=rng)
+    loss_vqa = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
+    loss, distill_val = loss_vqa, 0.0
+    if bundle.decoder is not None:
+        _, x_teacher = teacher_forward(bundle, batch, cfg)
+        loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
+        loss = T.add(loss_vqa, loss_distill * cfg.lambda_distill)
+        distill_val = loss_distill.item()
+    recall = None
+    if bundle.prompter_params is not None:
+        recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes, cfg)))
+    return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": distill_val,
+                          "keyframe_recall": recall, "tau": tau}
+
+
+def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, steps: int,
+               loss_fn, train_samples, val_samples, out_dir, resume_from: Checkpoint | None):
+    """The training loop of both stages; returns the final val MetricsRow.
+
+    `loss_fn(bundle, batch, cfg, step, rng)` returns the scalar loss, the
+    answer logits and the stage's fields of that step's train MetricsRow.
+    With out_dir, metrics go to its metrics.csv and checkpoints to
+    f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps) and
+    f"{stage}.ckpt" (final).
+    """
+    params = set_stage(bundle, stage, cfg)
+    opt = AdamWState()
+    rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, rng_tag))))
+    start_step = 0
+    keep = None
+    if resume_from is not None:
+        if resume_from.stage != stage:
+            raise ValueError(f"cannot resume {stage} stage from a {resume_from.stage!r} checkpoint")
+        if resume_from.config_digest != cfg.digest():
+            raise ValueError("config digest mismatch on resume")
+        load_into_bundle(bundle, resume_from.tensors)
+        opt = _opt_from_tensors(resume_from.tensors)
+        rng.bit_generator.state = resume_from.rng_state
+        start_step = resume_from.step
+
+        # the rows an uninterrupted run wrote before this checkpoint: train rows
+        # before it and the eval at its step, unless that is the final eval,
+        # which runs again
+        def keep(step, split):
+            return step < start_step or (split == "val" and step == start_step < steps)
+
+    writer = MetricsWriter(out_dir, keep) if out_dir else None
+    try:
+        for step in range(start_step, steps):
+            t0 = time.perf_counter()
+            lr = cosine_lr(step, steps, cfg.lr, cfg.lr_min)
+            batch = _draw_batch(train_samples, cfg.batch_size, rng)
+            loss, logits, fields = loss_fn(bundle, batch, cfg, step, rng)
+            if not math.isfinite(loss.item()):
+                raise RuntimeError(f"non-finite loss at step {step}; aborting")
+            backward(loss)
+            if cfg.audit_frozen:
+                audit_frozen_gradients(bundle, stage, cfg)
+            clip_global_norm(params, cfg.grad_clip)
+            adamw_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+            for p in params.values():
+                p.grad = None
+            acc = float((logits.data.argmax(axis=1) == batch.answers).mean())
+            if writer:
+                writer.write(MetricsRow(step=step, split="train", accuracy=acc, lr=lr, **fields,
+                                        wallclock_ms=(time.perf_counter() - t0) * 1e3))
+            if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < steps:
+                row, _ = evaluate(bundle, cfg, val_samples[:cfg.eval_samples], stage, step=step + 1)
+                writer.write(row)
+            if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
+                _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, step + 1,
+                                        name=f"{stage}_step{step + 1}.ckpt")
+        final_row, _ = evaluate(bundle, cfg, val_samples, stage, step=steps)
+        if writer:
+            writer.write(final_row)
+        if out_dir:
+            _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, steps,
+                                    name=f"{stage}.ckpt")
+    finally:
+        if writer:
+            writer.close()
+    return final_row
+
+
+def _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, step, name):
+    tensors = bundle_state(bundle)
+    tensors.update(_opt_tensors(opt))
+    save_checkpoint(Path(out_dir) / name, stage, step, tensors, cfg.digest(),
+                    rng_state=rng.bit_generator.state)
 
 
 def train_teacher(cfg: TrainConfig, train_samples, val_samples, out_dir=None,
@@ -539,67 +641,8 @@ def train_teacher(cfg: TrainConfig, train_samples, val_samples, out_dir=None,
     when out_dir is given.
     """
     bundle = build_models(cfg)
-    params = set_stage(bundle, STAGE_TEACHER, cfg)
-    opt = AdamWState()
-    rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, 100))))
-    start_step = 0
-    if resume_from is not None:
-        if resume_from.stage != STAGE_TEACHER:
-            raise ValueError(f"cannot resume teacher stage from a {resume_from.stage!r} checkpoint")
-        if resume_from.config_digest != cfg.digest():
-            raise ValueError("config digest mismatch on resume")
-        load_into_bundle(bundle, resume_from.tensors)
-        opt = _opt_from_tensors(resume_from.tensors)
-        rng.bit_generator.state = resume_from.rng_state
-        start_step = resume_from.step
-
-    writer = MetricsWriter(out_dir) if out_dir else None
-    final_row = None
-    try:
-        for step in range(start_step, cfg.teacher_steps):
-            t0 = time.perf_counter()
-            lr = cosine_lr(step, cfg.teacher_steps, cfg.lr, cfg.lr_min)
-            batch = _draw_batch(train_samples, cfg.batch_size, rng)
-            logits, _ = teacher_forward(bundle, batch, cfg)
-            loss = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
-            loss_val = loss.item()
-            _check_finite_loss(loss_val, step)
-            backward(loss)
-            if cfg.audit_frozen:
-                audit_frozen_gradients(bundle, STAGE_TEACHER, cfg)
-            clip_global_norm(params, cfg.grad_clip)
-            adamw_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
-            for p in params.values():
-                p.grad = None
-            acc = float((logits.data.argmax(axis=1) == batch.answers).mean())
-            if writer:
-                writer.write(MetricsRow(step=step, split="train", loss_vqa=loss_val,
-                                        accuracy=acc, lr=lr,
-                                        wallclock_ms=(time.perf_counter() - t0) * 1e3))
-            if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < cfg.teacher_steps:
-                row, _ = evaluate(bundle, cfg, val_samples[:cfg.eval_samples], STAGE_TEACHER,
-                                  step=step + 1)
-                writer.write(row)
-            if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
-                _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, STAGE_TEACHER, step + 1,
-                                        name=f"teacher_step{step + 1}.ckpt")
-        final_row, _ = evaluate(bundle, cfg, val_samples, STAGE_TEACHER, step=cfg.teacher_steps)
-        if writer:
-            writer.write(final_row)
-        if out_dir:
-            _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, STAGE_TEACHER,
-                                    cfg.teacher_steps, name="teacher.ckpt")
-    finally:
-        if writer:
-            writer.close()
-    return bundle, final_row
-
-
-def _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, step, name):
-    tensors = bundle_state(bundle)
-    tensors.update(_opt_tensors(opt))
-    save_checkpoint(Path(out_dir) / name, stage, step, tensors, cfg.digest(),
-                    rng_state=rng.bit_generator.state)
+    return bundle, _run_stage(cfg, STAGE_TEACHER, bundle, 100, cfg.teacher_steps, teacher_loss,
+                              train_samples, val_samples, out_dir, resume_from)
 
 
 def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Checkpoint,
@@ -608,6 +651,7 @@ def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Ch
 
     Teacher targets are recomputed per batch on the full frame set; the
     Gumbel temperature follows the geometric schedule across the run.
+    Returns (bundle, final val MetricsRow).
     """
     if teacher_ckpt.stage != STAGE_TEACHER:
         raise ValueError(f"student stage needs a teacher checkpoint, got stage {teacher_ckpt.stage!r}")
@@ -616,84 +660,18 @@ def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Ch
 
     bundle = build_models(cfg)
     load_into_bundle(bundle, teacher_ckpt.tensors, prefixes=("visual.", "text.", "answer.", "teacher."))
-    params = set_stage(bundle, STAGE_STUDENT, cfg)
-    opt = AdamWState()
-    rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, 200))))
-    start_step = 0
-    if resume_from is not None:
-        if resume_from.stage != STAGE_STUDENT:
-            raise ValueError(f"cannot resume student stage from a {resume_from.stage!r} checkpoint")
-        if resume_from.config_digest != cfg.digest():
-            raise ValueError("config digest mismatch on resume")
-        load_into_bundle(bundle, resume_from.tensors)
-        opt = _opt_from_tensors(resume_from.tensors)
-        rng.bit_generator.state = resume_from.rng_state
-        start_step = resume_from.step
-
-    distill_on = cfg.lambda_distill > 0 and bundle.decoder is not None
-    writer = MetricsWriter(out_dir) if out_dir else None
-    final_row = None
-    try:
-        for step in range(start_step, cfg.student_steps):
-            t0 = time.perf_counter()
-            lr = cosine_lr(step, cfg.student_steps, cfg.lr, cfg.lr_min)
-            tau = prompter.tau_schedule(step, cfg.student_steps, cfg.prompter_cfg)
-            batch = _draw_batch(train_samples, cfg.batch_size, rng)
-
-            logits, x_student, mask = student_forward(bundle, batch, cfg, "train", tau=tau, rng=rng)
-            loss_vqa = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
-            if distill_on:
-                _, x_teacher = teacher_forward(bundle, batch, cfg)
-                loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
-                loss = T.add(loss_vqa, loss_distill * cfg.lambda_distill)
-                distill_val = loss_distill.item()
-            else:
-                loss = loss_vqa
-                distill_val = 0.0
-            loss_val = loss.item()
-            _check_finite_loss(loss_val, step)
-            backward(loss)
-            if cfg.audit_frozen:
-                audit_frozen_gradients(bundle, STAGE_STUDENT, cfg)
-            clip_global_norm(params, cfg.grad_clip)
-            adamw_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
-            for p in params.values():
-                p.grad = None
-
-            acc = float((logits.data.argmax(axis=1) == batch.answers).mean())
-            recall = _batch_recall(mask, batch, cfg) if bundle.prompter_params is not None else None
-            if writer:
-                writer.write(MetricsRow(step=step, split="train",
-                                        loss_vqa=loss_vqa.item(), loss_distill=distill_val,
-                                        accuracy=acc, keyframe_recall=recall, tau=tau, lr=lr,
-                                        wallclock_ms=(time.perf_counter() - t0) * 1e3))
-            if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < cfg.student_steps:
-                row, _ = evaluate(bundle, cfg, val_samples[:cfg.eval_samples], STAGE_STUDENT,
-                                  step=step + 1)
-                writer.write(row)
-            if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
-                _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, STAGE_STUDENT, step + 1,
-                                        name=f"student_step{step + 1}.ckpt")
-        final_row, _ = evaluate(bundle, cfg, val_samples, STAGE_STUDENT, step=cfg.student_steps)
-        if writer:
-            writer.write(final_row)
-        if out_dir:
-            _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, STAGE_STUDENT,
-                                    cfg.student_steps, name="student.ckpt")
-    finally:
-        if writer:
-            writer.close()
-    return bundle, final_row
-
-
-def _batch_recall(mask: SelectionMask, batch: Batch, cfg: TrainConfig) -> float:
-    k = cfg.data.num_keyframes
-    vals = [len(set(sel) & set(kf)) / k for sel, kf in zip(mask.selected, batch.keyframes)]
-    return float(np.mean(vals))
+    return bundle, _run_stage(cfg, STAGE_STUDENT, bundle, 200, cfg.student_steps, student_loss,
+                              train_samples, val_samples, out_dir, resume_from)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+def keyframe_recalls(selected, keyframes, cfg: TrainConfig) -> list:
+    """Per video, the share of its planted keyframes among the selected frames."""
+    k = cfg.data.num_keyframes
+    return [len(set(sel) & set(kf)) / k for sel, kf in zip(selected, keyframes)]
+
 
 def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
              mode: str = "hard", tau: float | None = None, step: int = 0,
@@ -718,8 +696,7 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
             logits, _, mask = student_forward(bundle, batch, cfg, fmode, tau=ftau)
             selections.extend(mask.selected)
             if bundle.prompter_params is not None:
-                recalls.extend(len(set(sel) & set(kf)) / cfg.data.num_keyframes
-                               for sel, kf in zip(mask.selected, batch.keyframes))
+                recalls.extend(keyframe_recalls(mask.selected, batch.keyframes, cfg))
         losses.append(surrogates.vqa_loss(logits, batch.answers, cfg.loss).item() * len(batch.answers))
         correct += int((logits.data.argmax(axis=1) == batch.answers).sum())
 
