@@ -1,9 +1,9 @@
 """Text-guided differentiable frame selection.
 
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
-vector, score frames (per temporal segment in the segmented design, or
-per-frame keep/drop in the free-form design), draw a Gumbel selection, and
-fuse the masked visual tokens with the question text through cross-attention.
+vector, score the frames of each of S contiguous temporal segments, draw one
+frame per segment with Gumbel noise, and fuse the selected visual tokens
+with the question text through cross-attention.
 
 Selection is trained through the Gumbel-Softmax relaxation; the straight-
 through variant keeps the hard one-hot mask in the forward pass while
@@ -21,18 +21,13 @@ from . import nn
 from . import tensor as T
 from .tensor import Tensor
 
-SEGMENTED = "segmented"
-FREE_FORM = "free_form"
-
-
 @dataclass
 class FramePrompterConfig:
     frames: int = 32            # T, input frames
-    segments: int = 4           # S, also the selected-frame count (segmented design)
+    segments: int = 4           # S, also the selected-frame count (one per segment)
     patches: int = 4            # N, patch tokens per frame
     channels: int = 8           # C, channels per patch from the visual encoder
     d_model: int = 64
-    design: str = SEGMENTED
     tau_start: float = 1.0
     tau_end: float = 0.01
     straight_through: bool = True
@@ -40,12 +35,10 @@ class FramePrompterConfig:
     num_heads: int = 1
 
     def __post_init__(self):
-        if self.design not in (SEGMENTED, FREE_FORM):
-            raise ValueError(f"unknown design {self.design!r}")
         if not 1 <= self.segments <= self.frames:
             raise ValueError(f"need frames >= segments >= 1, got T={self.frames}, S={self.segments}")
-        if self.design == SEGMENTED and self.frames % self.segments != 0:
-            raise ValueError(f"segmented design needs segments to divide frames: T={self.frames}, S={self.segments}")
+        if self.frames % self.segments != 0:
+            raise ValueError(f"segments must divide frames: T={self.frames}, S={self.segments}")
         if self.tau_end <= 0:
             raise ValueError("tau_end must be positive")
         if self.tau_start < self.tau_end:
@@ -73,11 +66,8 @@ class FramePrompterParams:
             nn.act_step("relu"),
             nn.fc_step(h, n, rng, bias=False),
         ])
-        if cfg.design == SEGMENTED:
-            # small init keeps the initial per-segment distribution near uniform
-            head = nn.MlpParams([nn.fc_step(cfg.frames_per_segment * n, cfg.frames_per_segment, rng, scale=0.01)])
-        else:
-            head = nn.MlpParams([nn.fc_step(n, 2, rng, scale=0.01)])
+        # small init keeps the initial per-segment distribution near uniform
+        head = nn.MlpParams([nn.fc_step(cfg.frames_per_segment * n, cfg.frames_per_segment, rng, scale=0.01)])
         guide = nn.AttentionParams.init(cfg.d_model, cfg.num_heads, rng)
         return cls(embed=embed, select_head=head, guide_attn=guide)
 
@@ -93,10 +83,10 @@ class FramePrompterParams:
 class SelectionMask:
     """One sampled (or argmax) frame selection for a batch.
 
-    hard: [B, T] 0/1 array; soft: the differentiable [B, T] mask when a
-    relaxed sample exists (values equal `hard` bitwise under straight-
-    through); per_segment: [B, S, T/S] segment-local weights (segmented
-    design only); selected: per-row sorted frame indices.
+    hard: [B, T] 0/1 array with one 1 per segment; soft: the
+    differentiable [B, T] mask when a relaxed sample exists (values equal
+    `hard` bitwise under straight-through); per_segment: [B, S, T/S]
+    segment-local weights; selected: per-row sorted frame indices, S each.
     """
 
     hard: np.ndarray
@@ -116,8 +106,6 @@ def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterCon
 
 def segment_logits(embedded: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """[B, T, N] -> contiguous temporal chunks -> FC -> [B, S, T/S] logits."""
-    if cfg.frames % cfg.segments != 0:
-        raise ValueError(f"segments {cfg.segments} do not divide frames {cfg.frames}")
     b = embedded.shape[0]
     fps = cfg.frames_per_segment
     chunks = T.reshape(embedded, (b, cfg.segments, fps * cfg.patches))
@@ -205,51 +193,21 @@ def tau_schedule(step: int, total_steps: int, cfg: FramePrompterConfig) -> float
     return cfg.tau_start * (cfg.tau_end / cfg.tau_start) ** (step / total_steps)
 
 
-def free_form_mask(embedded: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
-                   tau: float, rng: np.random.Generator | None,
-                   straight_through: bool = True, noise: np.ndarray | None = None) -> SelectionMask:
-    """Per-frame keep/drop relaxation (class 1 = keep); variable-size pick."""
-    if cfg.design != FREE_FORM:
-        raise ValueError("free_form_mask requires the free_form design")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    logits2 = nn.mlp_apply(params.select_head, embedded)  # [B, T, 2]
-    g = _gumbel(rng, logits2.shape, noise)
-    b = embedded.shape[0]
-
-    z_data = logits2.data - logits2.data.max(axis=-1, keepdims=True)
-    logp_data = z_data - np.log(np.exp(z_data).sum(axis=-1, keepdims=True))
-    hard = ((logp_data + g).argmax(axis=-1) == 1).astype(np.float64)  # [B, T]
-    selected = [sorted(int(i) for i in np.flatnonzero(row)) for row in hard]
-
-    logp = T.log_softmax(logits2, axis=-1)
-    soft2 = T.softmax(T.add(logp, Tensor(g)) * (1.0 / tau), axis=-1)
-    keep = T.reshape(T.narrow(soft2, 2, 1, 1), (b, cfg.frames))
-    if straight_through:
-        keep = T.add(Tensor(hard), T.sub(keep, keep.detach()))
-    return SelectionMask(hard=hard, selected=selected, soft=keep)
-
-
 def frame_keys(x_tokens: Tensor, mask: SelectionMask, relaxed: bool):
     """[B, T, N, d] frame tokens -> (keys [B, L, d], per-token key mask [B, L] or None).
 
     relaxed: every frame stays a key, weighted by the differentiable
     `mask.soft` (by `mask.hard` when none was sampled). Otherwise the
-    selected frames are gathered when every row picked the same number of
-    them; ragged (free-form) picks keep every frame under a 0/1 key mask,
-    which removes the unselected ones exactly and so equals a per-row
-    gather.
+    selected frames' tokens are gathered as the keys, with no key mask.
     """
     b, t, n, d = x_tokens.shape
     if not relaxed:
-        counts = {len(row) for row in mask.selected}
-        if 0 in counts:
+        if not all(mask.selected):
             raise ValueError("no attendable keys: a batch row selected zero frames")
-        if len(counts) == 1:
-            idx = np.array(mask.selected)
-            gathered = T.gather_frames(x_tokens, idx)  # [B, S, N, d]
-            return T.reshape(gathered, (b, idx.shape[1] * n, d)), None
-    weights = mask.soft if relaxed and mask.soft is not None else Tensor(mask.hard)  # [B, T]
+        idx = np.array(mask.selected)
+        gathered = T.gather_frames(x_tokens, idx)  # [B, S, N, d]
+        return T.reshape(gathered, (b, idx.shape[1] * n, d)), None
+    weights = mask.soft if mask.soft is not None else Tensor(mask.hard)  # [B, T]
     per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
     return T.reshape(x_tokens, (b, t * n, d)), per_token
 
@@ -278,38 +236,21 @@ def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,
     """End-to-end selection: returns (fused [B, Lt, d_model], SelectionMask).
 
     mode "train": relaxed Gumbel sample at `tau` (straight-through per
-    config), soft fusion over all frames. mode "infer": noiseless argmax,
-    hard gather fusion. mode "soft_infer": noiseless relaxed mask at `tau`
-    (no Gumbel noise), soft fusion. Both inference modes are deterministic.
+    config), soft fusion over all frames. mode "infer": deterministic
+    noiseless per-segment argmax, hard gather fusion; `tau` is unused.
     """
-    if mode not in ("train", "infer", "soft_infer"):
-        raise ValueError(f"mode must be 'train', 'infer' or 'soft_infer', got {mode!r}")
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     embedded = pool_and_embed(video_features, params, cfg)
-    needs_tau = mode in ("train", "soft_infer")
-    if needs_tau and tau is None:
-        raise ValueError(f"{mode} mode requires tau")
+    if mode == "train" and tau is None:
+        raise ValueError("train mode requires tau")
 
-    if cfg.design == SEGMENTED:
-        logits = segment_logits(embedded, params, cfg)
-        if mode == "train":
-            mask = gumbel_sample_soft(logits, tau, rng, cfg,
-                                      straight_through=cfg.straight_through, noise=noise)
-        elif mode == "soft_infer":
-            mask = gumbel_sample_soft(logits.detach(), tau, None, cfg,
-                                      straight_through=False, noise=np.zeros(logits.shape))
-        else:
-            mask = gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))
-    else:
-        zero = np.zeros((embedded.shape[0], cfg.frames, 2))
-        if mode == "train":
-            mask = free_form_mask(embedded, params, cfg, tau, rng,
+    logits = segment_logits(embedded, params, cfg)
+    if mode == "train":
+        mask = gumbel_sample_soft(logits, tau, rng, cfg,
                                   straight_through=cfg.straight_through, noise=noise)
-        elif mode == "soft_infer":
-            mask = free_form_mask(embedded, params, cfg, tau, None,
-                                  straight_through=False, noise=zero)
-        else:
-            mask = free_form_mask(embedded, params, cfg, tau=1.0, rng=None,
-                                  straight_through=True, noise=zero)
+    else:
+        mask = gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))
 
     fused = apply_mask_and_fuse(visual_tokens, mask, text, params, cfg, hard=(mode == "infer"))
     return fused, mask

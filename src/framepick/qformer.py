@@ -1,6 +1,6 @@
 """Query-token cross-modal fusion, instantiated once as teacher and once as
-student, plus the decoder and MSE loss that distill the all-frames teacher
-into the few-frames student.
+student, plus the FC + LayerNorm decoder and the MSE loss that distill the
+all-frames teacher into the few-frames student.
 
 Learnable query tokens are prepended to the visual tokens, self-attention
 runs over the concatenation, and the post-self-attention query positions
@@ -21,10 +21,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .prompter import SelectionMask
 from .tensor import Tensor
-
-DECODER_VARIANTS = ("fc", "fc_ln", "fc_ln_gelu_fc")
 
 
 @dataclass
@@ -109,27 +106,16 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
 
 @dataclass
 class DistillDecoderParams:
-    """Maps student fusion output into the teacher's feature space."""
+    """Maps student fusion output into the teacher's feature space: FC then LayerNorm."""
 
     decoder: nn.MlpParams
-    variant: str = "fc_ln"
 
     @classmethod
-    def init(cls, d_student: int, d_teacher: int, rng: np.random.Generator,
-             variant: str = "fc_ln") -> "DistillDecoderParams":
-        if variant not in DECODER_VARIANTS:
-            raise ValueError(f"unknown decoder variant {variant!r}, pick one of {DECODER_VARIANTS}")
-        if variant == "fc":
-            steps = [nn.fc_step(d_student, d_teacher, rng)]
-        elif variant == "fc_ln":
-            steps = [nn.fc_step(d_student, d_teacher, rng), nn.ln_step(d_teacher)]
-        else:
-            steps = [nn.fc_step(d_student, d_teacher, rng), nn.ln_step(d_teacher),
-                     nn.act_step("gelu"), nn.fc_step(d_teacher, d_teacher, rng)]
-        return cls(decoder=nn.MlpParams(steps), variant=variant)
+    def init(cls, d_student: int, d_teacher: int, rng: np.random.Generator) -> "DistillDecoderParams":
+        return cls(decoder=nn.MlpParams([nn.fc_step(d_student, d_teacher, rng), nn.ln_step(d_teacher)]))
 
     def named(self, prefix: str) -> dict:
-        return self.decoder.named(f"{prefix}.{self.variant}")
+        return self.decoder.named(f"{prefix}.fc_ln")
 
 
 def distill_decode(dec: DistillDecoderParams, x_student: Tensor) -> Tensor:
@@ -145,17 +131,3 @@ def distill_loss(dec: DistillDecoderParams, x_student: Tensor, x_teacher: Tensor
     """
     return T.mse(distill_decode(dec, x_student), x_teacher.detach())
 
-
-def selection_overlap(mask_a: SelectionMask, mask_b: SelectionMask) -> float:
-    """|a intersect b| / |a|, averaged over the batch (directional)."""
-    if mask_a.hard.shape[1] != mask_b.hard.shape[1]:
-        raise ValueError(f"selections cover different frame counts: "
-                         f"{mask_a.hard.shape[1]} vs {mask_b.hard.shape[1]}")
-    if len(mask_a.selected) != len(mask_b.selected):
-        raise ValueError("selections cover different batch sizes")
-    fractions = []
-    for a, b in zip(mask_a.selected, mask_b.selected):
-        if not a:
-            raise ValueError("selection_overlap on an empty selection")
-        fractions.append(len(set(a) & set(b)) / len(a))
-    return float(np.mean(fractions))

@@ -112,13 +112,6 @@ def score_answers(x_llm: Tensor, choices: Tensor, head: AnswerHead) -> Tensor:
     return T.reshape(logits, (b, a))
 
 
-def vqa_loss(logits: Tensor, answer_idx: np.ndarray, kind: str = "ce") -> Tensor:
-    """Multi-choice answer loss: cross-entropy, or MSE against one-hot."""
-    if kind == "ce":
-        return T.cross_entropy(logits, answer_idx)
-    if kind == "mse":
-        b, a = logits.shape
-        one_hot = np.zeros((b, a))
-        one_hot[np.arange(b), np.asarray(answer_idx)] = 1.0
-        return T.mse(T.softmax(logits, axis=-1), Tensor(one_hot))
-    raise ValueError(f"unknown vqa loss kind {kind!r}")
+def vqa_loss(logits: Tensor, answer_idx: np.ndarray) -> Tensor:
+    """Multi-choice answer loss: cross-entropy over the choices."""
+    return T.cross_entropy(logits, answer_idx)

@@ -57,8 +57,6 @@ class TrainConfig:
     lambda_distill: float = 1.0
     use_prompter: bool = True
     unfreeze_heads: bool = False
-    loss: str = "ce"
-    decoder_variant: str = "fc_ln"
     eval_every: int = 200
     eval_samples: int = 256
     checkpoint_every: int = 0     # 0: final checkpoint only
@@ -177,14 +175,12 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     rng_s = stream(20)
     student_proj = Tensor(rng_s.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
-    student_budget = (cfg.prompter_cfg.segments
-                      if cfg.prompter_cfg.design == prompter.SEGMENTED else data.frames)
-    student_qf = QFormerParams.init(d, cfg.qformer_cfg.num_queries, student_budget, data.patches,
+    student_qf = QFormerParams.init(d, cfg.qformer_cfg.num_queries, cfg.prompter_cfg.segments, data.patches,
                                     rng_s, num_heads=cfg.qformer_cfg.num_heads, depth=cfg.qformer_cfg.depth)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, stream(30))
                        if cfg.use_prompter else None)
-    decoder = (DistillDecoderParams.init(d, d, stream(40), variant=cfg.decoder_variant)
+    decoder = (DistillDecoderParams.init(d, d, stream(40))
                if cfg.lambda_distill > 0 else None)
     return ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
                        teacher_proj=teacher_proj, teacher_qf=teacher_qf,
@@ -238,9 +234,10 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
                     tau: float | None = None, rng: np.random.Generator | None = None):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    mode "train" uses the relaxed mask over all frames (straight-through per
-    config); "infer"/"soft_infer" are the deterministic evaluation paths.
-    With no selector configured, an evenly-spaced hard pick stands in.
+    mode "train" weights every frame by the relaxed mask (straight-through
+    per config); mode "infer", the deterministic evaluation path, gathers
+    the argmax picks. With no selector configured, an evenly-spaced hard
+    pick stands in and is gathered in both modes.
     """
     pcfg = cfg.prompter_cfg
     b, t, _, _ = batch.raw.shape
@@ -327,6 +324,8 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
 # ---------------------------------------------------------------------------
 # metrics
 
+# selection_overlap is always empty; the column stays so the CSV format
+# (and the digests pinned on it) does not change.
 METRIC_FIELDS = ("step", "split", "loss_vqa", "loss_distill", "accuracy",
                  "keyframe_recall", "selection_overlap", "tau", "lr")
 
@@ -420,7 +419,7 @@ def save_checkpoint(path, stage: str, step: int, tensors: dict, config_digest: s
     offset = 0
     blobs = []
     for name in names:
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        arr = np.asarray(tensors[name], dtype="<f8")
         header["tensors"][name] = {"shape": list(arr.shape), "offset": offset}
         blob = arr.tobytes()
         blobs.append(blob)
@@ -489,8 +488,7 @@ def _opt_tensors(state: AdamWState) -> dict:
 
 def _opt_from_tensors(tensors: dict) -> AdamWState:
     state = AdamWState()
-    # .item(): save_checkpoint stores the 0-d step as shape (1,)
-    state.step = int(tensors.get("opt.step", np.asarray(0.0)).item())
+    state.step = int(tensors.get("opt.step", np.asarray(0.0)))
     for name, arr in tensors.items():
         if name.startswith("opt.m."):
             state.m[name[len("opt.m."):]] = arr.copy()
@@ -529,7 +527,7 @@ def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
                  rng: np.random.Generator):
     """Stage 1 loss (answer loss on all frames), answer logits, MetricsRow fields."""
     logits, _ = teacher_forward(bundle, batch, cfg)
-    loss = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
+    loss = surrogates.vqa_loss(logits, batch.answers)
     return loss, logits, {"loss_vqa": loss.item()}
 
 
@@ -543,7 +541,7 @@ def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
     """
     tau = prompter.tau_schedule(step, cfg.student_steps, cfg.prompter_cfg)
     logits, x_student, mask = student_forward(bundle, batch, cfg, "train", tau=tau, rng=rng)
-    loss_vqa = surrogates.vqa_loss(logits, batch.answers, cfg.loss)
+    loss_vqa = surrogates.vqa_loss(logits, batch.answers)
     loss, distill_val = loss_vqa, 0.0
     if bundle.decoder is not None:
         _, x_teacher = teacher_forward(bundle, batch, cfg)
@@ -564,8 +562,8 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
     `loss_fn(bundle, batch, cfg, step, rng)` returns the scalar loss, the
     answer logits and the stage's fields of that step's train MetricsRow.
     With out_dir, metrics go to its metrics.csv and checkpoints to
-    f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps) and
-    f"{stage}.ckpt" (final).
+    f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps before the
+    last) and f"{stage}.ckpt" (final).
     """
     params = set_stage(bundle, stage, cfg)
     opt = AdamWState()
@@ -577,6 +575,9 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             raise ValueError(f"cannot resume {stage} stage from a {resume_from.stage!r} checkpoint")
         if resume_from.config_digest != cfg.digest():
             raise ValueError("config digest mismatch on resume")
+        if resume_from.rng_state is None:
+            raise ValueError(f"cannot resume from the {resume_from.stage} checkpoint at step "
+                             f"{resume_from.step}: it holds no random state")
         load_into_bundle(bundle, resume_from.tensors)
         opt = _opt_from_tensors(resume_from.tensors)
         rng.bit_generator.state = resume_from.rng_state
@@ -611,7 +612,8 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < steps:
                 row, _ = evaluate(bundle, cfg, val_samples[:cfg.eval_samples], stage, step=step + 1)
                 writer.write(row)
-            if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
+            if (out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0
+                    and (step + 1) < steps):
                 _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, step + 1,
                                         name=f"{stage}_step{step + 1}.ckpt")
         final_row, _ = evaluate(bundle, cfg, val_samples, stage, step=steps)
@@ -673,13 +675,13 @@ def keyframe_recalls(selected, keyframes, cfg: TrainConfig) -> list:
     return [len(set(sel) & set(kf)) / k for sel, kf in zip(selected, keyframes)]
 
 
-def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
-             mode: str = "hard", tau: float | None = None, step: int = 0,
-             batch_size: int = 64, reference_selections=None):
-    """Deterministic full pass over `samples`.
+def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: int = 0,
+             batch_size: int = 64):
+    """Deterministic full pass over `samples`; the student reads its "infer" picks.
 
     Returns (MetricsRow for split "val", per-sample selected indices). Teacher
-    evaluations report no selection metrics (not applicable).
+    evaluations report no selection metrics (not applicable), and no row
+    reports a selection overlap or a temperature.
     """
     t0 = time.perf_counter()
     correct = 0
@@ -691,24 +693,16 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str,
         if stage == STAGE_TEACHER:
             logits, _ = teacher_forward(bundle, batch, cfg)
         else:
-            fmode = "infer" if mode == "hard" else "soft_infer"
-            ftau = tau if tau is not None else cfg.prompter_cfg.tau_end
-            logits, _, mask = student_forward(bundle, batch, cfg, fmode, tau=ftau)
+            logits, _, mask = student_forward(bundle, batch, cfg, "infer")
             selections.extend(mask.selected)
             if bundle.prompter_params is not None:
                 recalls.extend(keyframe_recalls(mask.selected, batch.keyframes, cfg))
-        losses.append(surrogates.vqa_loss(logits, batch.answers, cfg.loss).item() * len(batch.answers))
+        losses.append(surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers))
         correct += int((logits.data.argmax(axis=1) == batch.answers).sum())
 
-    overlap = None
-    if reference_selections is not None and selections:
-        overlap = float(np.mean([
-            len(set(a) & set(b)) / len(a) for a, b in zip(selections, reference_selections)]))
     row = MetricsRow(step=step, split="val",
                      loss_vqa=float(np.sum(losses) / len(samples)),
                      accuracy=correct / len(samples),
                      keyframe_recall=float(np.mean(recalls)) if recalls else None,
-                     selection_overlap=overlap,
-                     tau=tau if stage == STAGE_STUDENT and mode != "hard" else None,
                      wallclock_ms=(time.perf_counter() - t0) * 1e3)
     return row, selections

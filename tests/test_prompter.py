@@ -6,9 +6,8 @@ import pytest
 from framepick import nn, prompter
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
-                                apply_mask_and_fuse, free_form_mask, gumbel_sample_hard,
-                                gumbel_sample_soft, pool_and_embed, segment_logits,
-                                select_frames, tau_schedule)
+                                apply_mask_and_fuse, gumbel_sample_hard, gumbel_sample_soft,
+                                pool_and_embed, segment_logits, select_frames, tau_schedule)
 from framepick.tensor import Tensor, backward, grad_check
 
 
@@ -214,45 +213,6 @@ class TestTauSchedule:
             tau_schedule(0, 0, small_cfg())
 
 
-class TestFreeForm:
-    def test_noiseless_strong_logits_select_exact_set(self, rng):
-        cfg = small_cfg(design="free_form")
-        params = FramePrompterParams.init(cfg, rng)
-        n = cfg.patches
-        # keep-logit reads embedded[t, 0]; plant +5 on frames {1, 5}, -5 elsewhere
-        w = np.zeros((n, 2))
-        w[0, 1] = 1.0
-        params.select_head = nn.MlpParams([("fc", Tensor(w), None)])
-        embedded = np.zeros((1, cfg.frames, n))
-        embedded[0, :, 0] = -5.0
-        embedded[0, [1, 5], 0] = 5.0
-        mask = free_form_mask(Tensor(embedded), params, cfg, tau=0.5, rng=None,
-                              noise=np.zeros((1, cfg.frames, 2)))
-        assert mask.selected == [[1, 5]]
-        assert np.array_equal(np.flatnonzero(mask.hard[0]), [1, 5])
-
-    def test_symmetric_logits_keep_half_the_time(self):
-        cfg = small_cfg(design="free_form", frames=4, segments=1)
-        rng = np.random.default_rng(3)
-        draws = 100_000
-        g = rng.gumbel(size=(draws, 2))
-        kept = (g[:, 1] > g[:, 0]).mean()
-        assert abs(kept - 0.5) <= 0.01
-
-    def test_all_drop_surfaces_no_attendable_keys(self, rng):
-        cfg = small_cfg(design="free_form")
-        params = FramePrompterParams.init(cfg, rng)
-        x = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels)))
-        tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
-        text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
-        # force drop logits through a crafted noise hook on the keep class
-        noise = np.zeros((1, cfg.frames, 2))
-        noise[..., 1] = -100.0
-        with pytest.raises(ValueError, match="no attendable keys"):
-            fused, mask = select_frames(x, tokens, text, params, cfg, "train",
-                                        tau=0.5, noise=noise)
-
-
 class TestApplyMaskAndFuse:
     def test_full_mask_matches_unmasked_attention(self, cfg, params, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
@@ -356,16 +316,3 @@ class TestSelectFrames:
         wt = Tensor(head_w.data.copy(), requires_grad=True)
         backward(f(wt))
         assert wt.grad is not None and np.any(wt.grad != 0.0)
-
-    def test_soft_infer_mode_close_to_hard(self, cfg, params, rng):
-        # untrained heads give near-tied logits, so separate them the way a
-        # trained selector would before comparing the two inference modes
-        step = params.select_head.steps[0]
-        params.select_head = nn.MlpParams([("fc", Tensor(step[1].data * 300.0, requires_grad=True), step[2])])
-        x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
-        tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
-        text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        hard_out, hard_mask = select_frames(x, tokens, text, params, cfg, "infer")
-        soft_out, soft_mask = select_frames(x, tokens, text, params, cfg, "soft_infer", tau=0.01)
-        assert hard_mask.selected == soft_mask.selected
-        assert np.all(np.abs(hard_out.data - soft_out.data) < 1e-4)

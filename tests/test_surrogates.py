@@ -147,10 +147,3 @@ class TestVqaLoss:
         a = S.vqa_loss(Tensor(logits), targets).item()
         b = T.cross_entropy(Tensor(logits), targets).item()
         assert a == b
-
-    def test_mse_variant(self, rng):
-        logits = rng.normal(size=(2, 3))
-        out = S.vqa_loss(Tensor(logits), np.array([0, 2]), kind="mse")
-        assert out.item() > 0
-        with pytest.raises(ValueError):
-            S.vqa_loss(Tensor(logits), np.array([0, 2]), kind="nll")

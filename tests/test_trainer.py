@@ -1,16 +1,18 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from framepick import prompter, synth, trainer
+from framepick import synth, trainer
+from framepick.tensor import Tensor
 
 
 @pytest.fixture
 def ckpt_path(tmp_path):
     path = tmp_path / "model.ckpt"
-    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([2.5, -1.0])}
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([2.5, -1.0]), "c": np.array(7.0)}
     trainer.save_checkpoint(path, trainer.STAGE_TEACHER, 3, tensors, "digest")
     return path
 
@@ -21,6 +23,7 @@ class TestCheckpointFiles:
         assert (ckpt.stage, ckpt.step, ckpt.config_digest) == (trainer.STAGE_TEACHER, 3, "digest")
         assert np.array_equal(ckpt.tensors["a"], np.arange(6.0).reshape(2, 3))
         assert np.array_equal(ckpt.tensors["b"], [2.5, -1.0])
+        assert ckpt.tensors["c"].shape == () and ckpt.tensors["c"] == 7.0
 
     def test_truncated_payload_names_file(self, ckpt_path):
         ckpt_path.write_bytes(ckpt_path.read_bytes()[:-5])
@@ -41,12 +44,12 @@ class TestCheckpointFiles:
         assert str(ckpt_path) in str(err.value)
 
 
-def tiny_config(design=prompter.SEGMENTED, **overrides):
+def tiny_config(**overrides):
     data = synth.DatasetSpec(num_train=16, num_val=8, frames=8, patches=2, seed=4)
     fields = dict(seed=4, teacher_steps=4, student_steps=4, batch_size=2,
                   eval_every=0, checkpoint_every=2, data=data,
                   prompter_cfg=trainer.FramePrompterConfig(
-                      frames=8, patches=2, d_model=8, embed_hidden=4, design=design))
+                      frames=8, patches=2, d_model=8, embed_hidden=4))
     fields.update(overrides)
     return trainer.TrainConfig(**fields)
 
@@ -119,73 +122,43 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "ddacda7cb9f606fe9e2855dbdc1186261f26ddedb0697bcb73ee85ac0e64a49e",
         "student/student.ckpt":
-            "f5499e255d4d20bb3b6562e8c516c8d671f0b0c90d0ee1d2270e28340f70976b",
+            "1353eb15cc80dcec553d6c09225d64fa285b6a8aeada56b4a66533a824d24a02",
         "student/student_step2.ckpt":
-            "9826e61032b9de746c3f619d4e5931b94af50660c5b244a9beb14f7e9ee1138d",
-        "student/student_step4.ckpt":
-            "f5499e255d4d20bb3b6562e8c516c8d671f0b0c90d0ee1d2270e28340f70976b",
+            "9d8c8b24fdcc4b7dbddd54fed0b9ff040ce6a0b52f6460944ff0a9fbbe97e6cb",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "2b3d7244fbb887542b78cd3b9a8a17cd094758c40d72e2272076e5f080ec5c4c",
+            "6f1a78c7291e170d411e4bf1aba7115e00da6c4e7dcdb5a5a90ea6a9d0bbac7f",
         "teacher/teacher_step2.ckpt":
-            "116d69564f5ae18063966cb445f9acb786ba86878da2d7dd60f343b3237e0a5d",
-        "teacher/teacher_step4.ckpt":
-            "2b3d7244fbb887542b78cd3b9a8a17cd094758c40d72e2272076e5f080ec5c4c",
+            "61469f8c63358d9fa0f5648eec2ed1e99c539c5c4a29a2887b20060f3ea95d91",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "db165110203ba9b7e0ea1752fd02c295321ad36cff4410e0e4ed9b2ada0a8385",
         "student/student.ckpt":
-            "e6dee23284babdadbae209154897dc04d16684b62a22c569f1a789bc645bc5e1",
+            "cb69f18779c9e9452bfbfdd7e7342964b21aa0758a3ac7ba77cce120c84845ae",
         "student/student_step2.ckpt":
-            "e719b13677bd7d2f8398a5a320283b87642ea66a60dcc1d006eded4968429f07",
-        "student/student_step4.ckpt":
-            "e6dee23284babdadbae209154897dc04d16684b62a22c569f1a789bc645bc5e1",
+            "b26ad2eb9794cbeb4cfa17f1dfc6cec9d3566732a6a7c88d6efd280e89bae7e8",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "cfa6a1d150912316d3a49936c49226772e0fc562661ffcdb09d1fb1e6a9cb744",
+            "078dd6c0e565965aa89691b579b1a0158fe4184ceec8ce89eefdc45656462043",
         "teacher/teacher_step2.ckpt":
-            "1790c3385de97eee37e8beb615bccb9a59f4dd1aecd9d3ee3edd9af33747ae0d",
-        "teacher/teacher_step4.ckpt":
-            "cfa6a1d150912316d3a49936c49226772e0fc562661ffcdb09d1fb1e6a9cb744",
+            "e11ecfa1ed68fc75e4c35fcfa4210705d6b4f6cb8265769d2d7f983ac4c5a3dd",
     },
     "no_distill": {
         "student/metrics.csv":
             "57ed867fc0e562f0df0ae4e81ef51328be388cd5ca744a8fb7c3ab2ec6442b00",
         "student/student.ckpt":
-            "4d3a58f9bce716430b3f5f81774b5f25cd44e72a80ef77fd0c0cdf326c4a6c49",
+            "a349eb9c716d89299224fdc211f091eeea095bf849621d2f502f7a965e444b29",
         "student/student_step2.ckpt":
-            "62de09a2f50d3443478b06c2c10e777271cc5288e10aaf6191b88e17460c0c65",
-        "student/student_step4.ckpt":
-            "4d3a58f9bce716430b3f5f81774b5f25cd44e72a80ef77fd0c0cdf326c4a6c49",
+            "406b735a8e384d29a438faa9667862a6e5322fe9a9edf270bfa51995d74fe592",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "93b6256a2504cb16e151a60abf096dd18a32e60058afc1ef369fa5c264a9d8db",
+            "a27cd39332d9853c93539cc9730d231760309acb0e0222cedaa0f89383e02786",
         "teacher/teacher_step2.ckpt":
-            "f1adbf8d4d3d376eed681ce1b4b6b1dc2e797eb8b5bd45c8241e6572cc27ca40",
-        "teacher/teacher_step4.ckpt":
-            "93b6256a2504cb16e151a60abf096dd18a32e60058afc1ef369fa5c264a9d8db",
-    },
-    "free_form": {
-        "student/metrics.csv":
-            "cc2d7135c9982fc166665961d4da61f0e274f6f5acb1b0efcfe5693b99781ce0",
-        "student/student.ckpt":
-            "d51b4b24e94b7c0de15d39148167af602654d17e84aa76e55c70fe9918860061",
-        "student/student_step2.ckpt":
-            "e0f23c0322054e41920c46783d5286a00ea6af0ad0777dbe27d471acf82a630c",
-        "student/student_step4.ckpt":
-            "d51b4b24e94b7c0de15d39148167af602654d17e84aa76e55c70fe9918860061",
-        "teacher/metrics.csv":
-            "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
-        "teacher/teacher.ckpt":
-            "693d78e75d1341cb6b7bc9c92ec785662c5c9cbac864c47e861b7e175ce34929",
-        "teacher/teacher_step2.ckpt":
-            "075c2e6adcef8b692dc00ac31a16f4902a7c0b308bf2dfb7599057db95d11975",
-        "teacher/teacher_step4.ckpt":
-            "693d78e75d1341cb6b7bc9c92ec785662c5c9cbac864c47e861b7e175ce34929",
+            "c7f7c10fc8dce7a91a7518d9617093c81a5647d9a65858abe9a2c81a44c86540",
     },
 }
 
@@ -193,7 +166,6 @@ STAGE_ARMS = {
     "default": {},
     "uniform_picks": {"use_prompter": False},
     "no_distill": {"lambda_distill": 0.0},
-    "free_form": {"design": prompter.FREE_FORM},
 }
 
 
@@ -253,6 +225,16 @@ class TestStageGuards:
         with pytest.raises(ValueError, match="config digest mismatch between teacher checkpoint"):
             trainer.train_student(cfg, train, val, teacher)
 
+    def test_resume_without_random_state_rejected(self):
+        cfg = tiny_config()
+        train, val = synth.generate(cfg.data)
+        with pytest.raises(ValueError, match="teacher checkpoint at step 2: it holds no random state"):
+            trainer.train_teacher(cfg, train, val,
+                                  resume_from=fake_checkpoint(cfg, trainer.STAGE_TEACHER))
+        with pytest.raises(ValueError, match="student checkpoint at step 2: it holds no random state"):
+            trainer.train_student(cfg, train, val, fake_checkpoint(cfg, trainer.STAGE_TEACHER),
+                                  resume_from=fake_checkpoint(cfg, trainer.STAGE_STUDENT))
+
     def test_audit_catches_planted_frozen_gradient(self):
         cfg = tiny_config()
         bundle = trainer.build_models(cfg)
@@ -267,8 +249,87 @@ class TestStageGuards:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("cfg", [trainer.TrainConfig(), tiny_config(design=prompter.FREE_FORM)])
+    @pytest.mark.parametrize("cfg", [trainer.TrainConfig(), tiny_config()])
     def test_json_round_trip_keeps_digest(self, cfg):
         back = trainer.TrainConfig.from_dict(json.loads(cfg.to_json()))
         assert back == cfg
         assert back.digest() == cfg.digest()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"teacher_steps": 0}, "step counts"),
+        ({"student_steps": 0}, "step counts"),
+        ({"batch_size": 0}, "batch size"),
+        ({"lambda_distill": -0.5}, "lambda_distill"),
+        ({"data": synth.DatasetSpec(frames=16, patches=2)}, "must match the dataset"),
+        ({"data": synth.DatasetSpec(frames=8, patches=3)}, "must match the dataset"),
+    ], ids=["teacher_steps", "student_steps", "batch_size", "lambda_distill", "frames", "patches"])
+    def test_invalid_config_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
+
+class TestCosineLr:
+    def test_endpoints_exact(self):
+        assert trainer.cosine_lr(0, 700, 3e-3, 3e-4) == 3e-3
+        assert trainer.cosine_lr(700, 700, 3e-3, 3e-4) == 3e-4
+
+    @pytest.mark.parametrize("step, total", [(-1, 10), (11, 10), (0, 0)])
+    def test_out_of_range_rejected(self, step, total):
+        with pytest.raises(ValueError):
+            trainer.cosine_lr(step, total, 3e-3, 3e-4)
+
+
+class TestAdamW:
+    LR, B1, B2, EPS, WD = 0.1, 0.9, 0.999, 1e-8, 0.01
+
+    def step(self, params, state):
+        trainer.adamw_step(params, state, self.LR, self.B1, self.B2, self.EPS, self.WD)
+
+    def test_two_steps_match_hand_computation(self):
+        w = Tensor(np.array([1.0, -2.0]))
+        u = Tensor(np.array([3.0]))   # never receives a gradient
+        params, state = {"w": w, "u": u}, trainer.AdamWState()
+        g1, g2 = [0.5, -1.0], [0.25, 2.0]
+        w.grad = np.array(g1)
+        self.step(params, state)
+        w.grad = np.array(g2)
+        self.step(params, state)
+
+        lr, b1, b2, eps, wd = self.LR, self.B1, self.B2, self.EPS, self.WD
+        for k, w0 in enumerate([1.0, -2.0]):
+            m1, v1 = (1 - b1) * g1[k], (1 - b2) * g1[k] ** 2
+            # step 1: the bias-corrected moments are g and g**2
+            w1 = w0 - lr * (g1[k] / (abs(g1[k]) + eps) + wd * w0)
+            m2, v2 = b1 * m1 + (1 - b1) * g2[k], b2 * v1 + (1 - b2) * g2[k] ** 2
+            mh, vh = m2 / (1 - b1 ** 2), v2 / (1 - b2 ** 2)
+            w2 = w1 - lr * (mh / (math.sqrt(vh) + eps) + wd * w1)
+            assert w.data[k] == pytest.approx(w2, rel=1e-13, abs=0)
+        # zero moments: only the decoupled weight decay moves u
+        assert u.data[0] == pytest.approx(3.0 * (1 - lr * wd) ** 2, rel=1e-15, abs=0)
+        assert state.step == 2
+
+    def test_non_finite_gradient_rejected(self):
+        w = Tensor(np.array([1.0, 2.0]))
+        w.grad = np.array([0.5, np.inf])
+        with pytest.raises(RuntimeError, match="non-finite gradient in parameter 'w'"):
+            self.step({"w": w}, trainer.AdamWState())
+
+
+class TestClipGlobalNorm:
+    def grads(self):
+        a, b, c = Tensor(np.zeros(2)), Tensor(np.zeros(1)), Tensor(np.zeros(3))
+        a.grad, b.grad = np.array([3.0, 0.0]), np.array([4.0])
+        return {"a": a, "b": b, "c": c}   # c has no gradient
+
+    def test_scales_down_above_max_norm(self):
+        params = self.grads()
+        assert trainer.clip_global_norm(params, 2.5) == (5.0, 0.5)
+        assert np.array_equal(params["a"].grad, [1.5, 0.0])
+        assert np.array_equal(params["b"].grad, [2.0])
+        assert params["c"].grad is None
+
+    def test_leaves_gradients_below_max_norm(self):
+        params = self.grads()
+        assert trainer.clip_global_norm(params, 10.0) == (5.0, 1.0)
+        assert np.array_equal(params["a"].grad, [3.0, 0.0])
+        assert np.array_equal(params["b"].grad, [4.0])
