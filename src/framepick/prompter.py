@@ -7,8 +7,11 @@ with the question text through cross-attention.
 
 Selection is trained through the Gumbel-Softmax relaxation; the straight-
 through variant keeps the hard one-hot mask in the forward pass while
-gradients follow the relaxed weights. Inference uses the noiseless argmax,
-which agrees with the tau=0.01 soft mask to ~1e-4.
+gradients follow the relaxed weights. Because that forward mask is exactly
+0/1, straight-through training reads only the S selected frames' tokens,
+as inference does (`frame_keys`); only a strictly relaxed mask keeps all T
+frames. Inference uses the noiseless argmax, which agrees with the tau=0.01
+soft mask to ~1e-4.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class SelectionMask:
 
     hard: [B, T] 0/1 array with one 1 per segment; soft: the
     differentiable [B, T] mask when a relaxed sample exists (values equal
-    `hard` bitwise under straight-through); per_segment: [B, S, T/S]
-    segment-local weights; selected: per-row sorted frame indices, S each.
+    `hard` bitwise under straight-through, and `frame_keys` then gathers
+    the selected frames); per_segment: [B, S, T/S] segment-local weights;
+    selected: per-row sorted frame indices, S each.
     """
 
     hard: np.ndarray
@@ -193,38 +197,48 @@ def tau_schedule(step: int, total_steps: int, cfg: FramePrompterConfig) -> float
     return cfg.tau_start * (cfg.tau_end / cfg.tau_start) ** (step / total_steps)
 
 
-def frame_keys(x_tokens: Tensor, mask: SelectionMask, relaxed: bool):
+def _per_token(weights: Tensor, n: int) -> Tensor:
+    """[B, F] per-frame weights -> [B, F * N], each repeated for the frame's N tokens."""
+    b, f = weights.shape
+    return T.reshape(T.broadcast_to(T.reshape(weights, (b, f, 1)), (b, f, n)), (b, f * n))
+
+
+def frame_keys(x_tokens: Tensor, mask: SelectionMask):
     """[B, T, N, d] frame tokens -> (keys [B, L, d], per-token key mask [B, L] or None).
 
-    relaxed: every frame stays a key, weighted by the differentiable
-    `mask.soft` (by `mask.hard` when none was sampled). Otherwise the
-    selected frames' tokens are gathered as the keys, with no key mask.
+    The path follows from the mask. A hard pick (no `mask.soft`) or a soft
+    mask equal to `mask.hard` bitwise (a straight-through sample) gathers
+    the S selected frames' tokens, L = S * N. With a soft mask, its values
+    at those frames (exactly 1) become the key mask: `masked_log` adds 0 to
+    the logits, and the selector's gradient still reaches the picked frames.
+    Keeping every frame would give it nothing more, because `masked_log`
+    has zero gradient at the unpicked frames' hard zeros. Only a strictly
+    relaxed mask keeps every frame as a key, weighted by `mask.soft`,
+    L = T * N.
     """
     b, t, n, d = x_tokens.shape
-    if not relaxed:
-        if not all(mask.selected):
-            raise ValueError("no attendable keys: a batch row selected zero frames")
-        idx = np.array(mask.selected)
-        gathered = T.gather_frames(x_tokens, idx)  # [B, S, N, d]
-        return T.reshape(gathered, (b, idx.shape[1] * n, d)), None
-    weights = mask.soft if mask.soft is not None else Tensor(mask.hard)  # [B, T]
-    per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
-    return T.reshape(x_tokens, (b, t * n, d)), per_token
+    soft = mask.soft
+    if soft is not None and not np.array_equal(soft.data, mask.hard):
+        return T.reshape(x_tokens, (b, t * n, d)), _per_token(soft, n)
+    if not all(mask.selected):
+        raise ValueError("no attendable keys: a batch row selected zero frames")
+    idx = np.array(mask.selected)
+    keys = T.reshape(T.gather_frames(x_tokens, idx), (b, idx.shape[1] * n, d))
+    return keys, None if soft is None else _per_token(T.gather_frames(soft, idx), n)
 
 
 def apply_mask_and_fuse(x_tokens: Tensor, mask: SelectionMask, text: Tensor,
-                        params: FramePrompterParams, cfg: FramePrompterConfig,
-                        hard: bool = False) -> Tensor:
+                        params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """CrossAttn(text queries <- masked visual tokens) -> [B, Lt, d_model].
 
-    Hard mode gathers the selected frames' patch tokens as keys/values; soft
-    mode keeps every frame and applies the mask as additive log-weights on
-    the attention logits (exact key removal in the hard limit).
+    The keys/values come from `frame_keys`: the selected frames' patch
+    tokens for a hard or straight-through mask, every frame's tokens under
+    additive log-weights for a strictly relaxed one.
     """
     _, t, n, d = x_tokens.shape
     if t != cfg.frames or n != cfg.patches or d != cfg.d_model:
         raise ValueError(f"expected [B, {cfg.frames}, {cfg.patches}, {cfg.d_model}] tokens, got {x_tokens.shape}")
-    keys, key_mask = frame_keys(x_tokens, mask, relaxed=not hard)
+    keys, key_mask = frame_keys(x_tokens, mask)
     return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
 
 
@@ -236,8 +250,9 @@ def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,
     """End-to-end selection: returns (fused [B, Lt, d_model], SelectionMask).
 
     mode "train": relaxed Gumbel sample at `tau` (straight-through per
-    config), soft fusion over all frames. mode "infer": deterministic
-    noiseless per-segment argmax, hard gather fusion; `tau` is unused.
+    config); the guide reads the picked frames under straight-through and
+    every frame, soft-weighted, otherwise. mode "infer": deterministic
+    noiseless per-segment argmax, gather fusion; `tau` is unused.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -252,5 +267,5 @@ def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,
     else:
         mask = gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))
 
-    fused = apply_mask_and_fuse(visual_tokens, mask, text, params, cfg, hard=(mode == "infer"))
+    fused = apply_mask_and_fuse(visual_tokens, mask, text, params, cfg)
     return fused, mask

@@ -318,10 +318,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _acc(a, _unbroadcast(ga, a.data.shape))
-        _acc(b, _unbroadcast(gb, b.data.shape))
+        # each product only for an operand that takes a gradient
+        if a.requires_grad:
+            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _op(out_data, (a, b), bw)
 

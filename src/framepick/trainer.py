@@ -234,10 +234,12 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
                     tau: float | None = None, rng: np.random.Generator | None = None):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    mode "train" weights every frame by the relaxed mask (straight-through
-    per config); mode "infer", the deterministic evaluation path, gathers
-    the argmax picks. With no selector configured, an evenly-spaced hard
-    pick stands in and is gathered in both modes.
+    mode "train" draws a relaxed mask; under straight-through (the default)
+    the student reads only the picked frames, keyed by the soft mask's
+    values there, and a strictly relaxed mask weights every frame. mode
+    "infer", the deterministic evaluation path, gathers the argmax picks.
+    With no selector configured, an evenly-spaced hard pick stands in and
+    is gathered in both modes.
     """
     pcfg = cfg.prompter_cfg
     b, t, _, _ = batch.raw.shape
@@ -252,8 +254,7 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     else:
         mask = uniform_selection(t, pcfg.segments, b)
 
-    # the uniform pick has no relaxed mask, so training gathers it too
-    vis, key_mask = prompter.frame_keys(tokens4d, mask, relaxed=mode == "train" and mask.soft is not None)
+    vis, key_mask = prompter.frame_keys(tokens4d, mask)
     x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
 
     answer_input = T.add(x_student, fused_guide) if fused_guide is not None else x_student
@@ -301,7 +302,11 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
     """Decoupled weight decay AdamW with bias-corrected moments.
 
     Missing gradients count as zeros (unreached parameters still decay).
+    A non-finite gradient raises RuntimeError before anything is updated.
     """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise RuntimeError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
@@ -309,8 +314,6 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
     for name in params:
         p = params[name]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

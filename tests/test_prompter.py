@@ -220,7 +220,7 @@ class TestApplyMaskAndFuse:
         full = SelectionMask(hard=np.ones((1, cfg.frames)),
                              selected=[list(range(cfg.frames))],
                              soft=Tensor(np.ones((1, cfg.frames))))
-        fused = apply_mask_and_fuse(tokens, full, text, params, cfg, hard=False)
+        fused = apply_mask_and_fuse(tokens, full, text, params, cfg)
         b, t, n, d = tokens.shape
         plain = nn.cross_attention(params.guide_attn, text, T.reshape(tokens, (b, t * n, d)))
         assert np.array_equal(fused.data, plain.data)
@@ -231,11 +231,11 @@ class TestApplyMaskAndFuse:
         hard = np.zeros((1, cfg.frames))
         hard[0, 3] = 1.0
         mask = SelectionMask(hard=hard, selected=[[3]], soft=Tensor(hard))
-        out = apply_mask_and_fuse(Tensor(tokens), mask, text, params, cfg, hard=False)
+        out = apply_mask_and_fuse(Tensor(tokens), mask, text, params, cfg)
         perturbed = tokens.copy()
         perturbed[0, 0] += 50.0
         perturbed[0, 6] -= 9.0
-        out2 = apply_mask_and_fuse(Tensor(perturbed), mask, text, params, cfg, hard=False)
+        out2 = apply_mask_and_fuse(Tensor(perturbed), mask, text, params, cfg)
         assert np.array_equal(out.data, out2.data)
 
     def test_soft_vs_hard_agree_at_low_temperature(self, cfg, params, rng):
@@ -245,8 +245,11 @@ class TestApplyMaskAndFuse:
         noise = rng.gumbel(size=logits.shape)
         soft_mask = gumbel_sample_soft(logits, 0.01, None, cfg, straight_through=False, noise=noise)
         hard_mask = gumbel_sample_hard(logits, None, cfg, noise=noise)
-        soft_out = apply_mask_and_fuse(tokens, soft_mask, text, params, cfg, hard=False)
-        hard_out = apply_mask_and_fuse(tokens, hard_mask, text, params, cfg, hard=True)
+        # not exactly 0/1, so the soft mask keeps every frame and is compared
+        # against the gather of the hard picks
+        assert not np.all((soft_mask.soft.data == 0.0) | (soft_mask.soft.data == 1.0))
+        soft_out = apply_mask_and_fuse(tokens, soft_mask, text, params, cfg)
+        hard_out = apply_mask_and_fuse(tokens, hard_mask, text, params, cfg)
         assert np.all(np.abs(soft_out.data - hard_out.data) < 1e-4)
 
     def test_empty_selection_rejected(self, cfg, params, rng):
@@ -254,7 +257,7 @@ class TestApplyMaskAndFuse:
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         empty = SelectionMask(hard=np.zeros((1, cfg.frames)), selected=[[]])
         with pytest.raises(ValueError, match="no attendable keys"):
-            apply_mask_and_fuse(tokens, empty, text, params, cfg, hard=True)
+            apply_mask_and_fuse(tokens, empty, text, params, cfg)
 
 
 class TestSelectFrames:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framepick import tensor as T
 from framepick.tensor import Tensor, backward, grad_check
@@ -272,13 +275,17 @@ class TestBackward:
         backward(loss)
         assert np.allclose(x.grad, 2.0 * x.data + 3.0, atol=1e-12)
 
-    def test_no_grad_recorded_for_frozen_path(self):
+    def test_no_grad_recorded_for_frozen_path(self, monkeypatch):
         frozen = Tensor(np.ones((2, 2)), requires_grad=False)
         live = Tensor(np.ones((2, 2)), requires_grad=True)
         out = T.matmul(frozen, live)
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda x, y: products.append(1) or matmul(x, y))
         backward(T.sum_all(out))
         assert frozen.grad is None
         assert live.grad is not None
+        assert len(products) == 1  # no product for the frozen operand's gradient
 
 
 class TestShapeOps:
@@ -399,3 +406,63 @@ def test_debug_finite_checks_flag():
     with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
         out = T.log(Tensor([-1.0]))
     assert np.isnan(out.data[0])
+
+
+def summed_to(g: np.ndarray, shape) -> np.ndarray:
+    """Reference for `_unbroadcast`: each entry of an array of `shape`
+    broadcast to g.shape collects the entries of g it was copied to."""
+    index = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), g.shape)
+    return np.bincount(index.ravel(), weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
+two_shapes = hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4,
+                                               min_side=1, max_side=4)
+values = st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)
+
+
+class TestBroadcastProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=two_shapes, rng=values)
+    def test_unbroadcast_sums_broadcast_axes(self, shapes, rng):
+        shape = shapes.input_shapes[0]
+        g = rng.normal(size=shapes.result_shape)
+        out = T._unbroadcast(g, shape)
+        assert out.shape == shape
+        assert np.allclose(out, summed_to(g, shape), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=two_shapes, op=st.sampled_from(["add", "sub", "mul", "div"]), rng=values)
+    def test_elementwise_gradients_have_input_shapes(self, shapes, op, rng):
+        a_shape, b_shape = shapes.input_shapes
+        a = Tensor(rng.uniform(0.5, 2.0, size=a_shape), requires_grad=True)
+        b = Tensor(rng.uniform(0.5, 2.0, size=b_shape), requires_grad=True)
+        out = getattr(T, op)(a, b)
+        assert out.shape == shapes.result_shape
+        w = rng.normal(size=shapes.result_shape)
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        assert a.grad.shape == a_shape and b.grad.shape == b_shape
+        da, db = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data),
+                  "div": (1.0 / b.data, -a.data / b.data ** 2)}[op]
+        assert np.allclose(a.grad, summed_to(w * da, a_shape), rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, summed_to(w * db, b_shape), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=hnp.mutually_broadcastable_shapes(signature="(n,k),(k,m)->(n,m)", max_dims=3,
+                                                    min_side=1, max_side=4),
+           rng=values)
+    def test_matmul_gradients_have_input_shapes(self, shapes, rng):
+        a_shape, b_shape = shapes.input_shapes
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        out = T.matmul(a, b)
+        assert out.shape == shapes.result_shape
+        w = rng.normal(size=shapes.result_shape)
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        assert a.grad.shape == a_shape and b.grad.shape == b_shape
+        batch = shapes.result_shape[:-2]
+        a_full = np.broadcast_to(a.data, batch + a_shape[-2:])
+        b_full = np.broadcast_to(b.data, batch + b_shape[-2:])
+        ga = np.einsum("...nm,...km->...nk", w, b_full)
+        gb = np.einsum("...nk,...nm->...km", a_full, w)
+        assert np.allclose(a.grad, summed_to(ga, a_shape), rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, summed_to(gb, b_shape), rtol=1e-12, atol=1e-12)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from framepick import synth, trainer
-from framepick.tensor import Tensor
+from framepick import prompter, synth, trainer
+from framepick import tensor as T
+from framepick.tensor import Tensor, backward
 
 
 @pytest.fixture
@@ -120,11 +121,11 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "ddacda7cb9f606fe9e2855dbdc1186261f26ddedb0697bcb73ee85ac0e64a49e",
+            "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
         "student/student.ckpt":
-            "1353eb15cc80dcec553d6c09225d64fa285b6a8aeada56b4a66533a824d24a02",
+            "ce79fb924ec333f93aa426ae404882e379ab730ff60257ec7dca67bc8178706e",
         "student/student_step2.ckpt":
-            "9d8c8b24fdcc4b7dbddd54fed0b9ff040ce6a0b52f6460944ff0a9fbbe97e6cb",
+            "7f8ca1c177fd0bcf49cccc8649ebff212238a5b76b34c03626fcb04b5a45227c",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
@@ -148,11 +149,11 @@ STAGE_DIGESTS = {
     },
     "no_distill": {
         "student/metrics.csv":
-            "57ed867fc0e562f0df0ae4e81ef51328be388cd5ca744a8fb7c3ab2ec6442b00",
+            "6ed625121cb40580722947b00d60fd705956525d0eef8caa73dc90612a546417",
         "student/student.ckpt":
-            "a349eb9c716d89299224fdc211f091eeea095bf849621d2f502f7a965e444b29",
+            "c01466de4c59a121ca7f2cac13070919f1454fb6ad6c09b1ef7a86fddfd937ac",
         "student/student_step2.ckpt":
-            "406b735a8e384d29a438faa9667862a6e5322fe9a9edf270bfa51995d74fe592",
+            "b35e090860fee5b5f2b1ec2d1e85af3169673fb13fe54a03bd1a6fc389e97662",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
@@ -309,10 +310,23 @@ class TestAdamW:
         assert state.step == 2
 
     def test_non_finite_gradient_rejected(self):
-        w = Tensor(np.array([1.0, 2.0]))
-        w.grad = np.array([0.5, np.inf])
+        a, w = Tensor(np.array([1.0])), Tensor(np.array([1.0, 2.0]))
+        params, state = {"a": a, "w": w}, trainer.AdamWState()
+
+        def snapshot():
+            arrays = [*state.m.values(), *state.v.values(), a.data, w.data]
+            return state.step, list(state.m), list(state.v), [x.copy() for x in arrays]
+
+        a.grad, w.grad = np.array([0.25]), np.array([0.5, -1.0])
+        self.step(params, state)
+        before = snapshot()
+        # a, updated before w, has a finite gradient: the failed step must not move it
+        a.grad, w.grad = np.array([0.25]), np.array([0.5, np.inf])
         with pytest.raises(RuntimeError, match="non-finite gradient in parameter 'w'"):
-            self.step({"w": w}, trainer.AdamWState())
+            self.step(params, state)
+        after = snapshot()
+        assert after[:3] == before[:3]
+        assert all(np.array_equal(x, y) for x, y in zip(after[3], before[3]))
 
 
 class TestClipGlobalNorm:
@@ -333,3 +347,87 @@ class TestClipGlobalNorm:
         assert trainer.clip_global_norm(params, 10.0) == (5.0, 1.0)
         assert np.array_equal(params["a"].grad, [3.0, 0.0])
         assert np.array_equal(params["b"].grad, [4.0])
+
+
+def all_frames_keys(x_tokens, mask):
+    """Reference key path: every frame stays a key, weighted by the mask."""
+    b, t, n, d = x_tokens.shape
+    weights = mask.soft if mask.soft is not None else Tensor(mask.hard)
+    per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
+    return T.reshape(x_tokens, (b, t * n, d)), per_token
+
+
+def student_loss_and_grads(cfg):
+    """Stage-2 loss on one batch and every trainable parameter's gradient."""
+    train, _ = synth.generate(cfg.data)
+    bundle = trainer.build_models(cfg)
+    params = trainer.set_stage(bundle, trainer.STAGE_STUDENT, cfg)
+    loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg, 1,
+                                      np.random.default_rng(3))
+    backward(loss)
+    return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                         for name, p in params.items()}
+
+
+def mismatched_gradients(cfg, monkeypatch, frame_keys):
+    """Names whose gradient under `frame_keys` differs from the all-frames
+    reference by more than 1e-12 of the reference's largest magnitude."""
+    results = []
+    for keys_fn in (frame_keys, all_frames_keys):
+        with monkeypatch.context() as patch:
+            patch.setattr(prompter, "frame_keys", keys_fn)
+            results.append(student_loss_and_grads(cfg))
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    return sorted(name for name, ref in ref_grads.items()
+                  if np.abs(grads[name] - ref).max() > 1e-12 * np.abs(ref).max())
+
+
+def default_geometry_config(**overrides):
+    data = synth.DatasetSpec(num_train=8, num_val=4, seed=4)
+    return trainer.TrainConfig(seed=4, data=data, **overrides)
+
+
+GEOMETRIES = {"T8": tiny_config, "T32": default_geometry_config}
+
+
+class TestGatherMatchesAllFrames:
+    """Under straight-through, reading only the picked frames (in the guide
+    and in the student fusion) gives the loss and gradients of reading every
+    frame under the 0/1 mask."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
+    def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill):
+        cfg = GEOMETRIES[geometry](lambda_distill=lambda_distill)
+        assert mismatched_gradients(cfg, monkeypatch, prompter.frame_keys) == []
+
+    def test_dropped_key_mask_is_caught(self, monkeypatch):
+        # without the gathered soft weights the selector gets no gradient
+        gather = prompter.frame_keys
+
+        def without_key_mask(x_tokens, mask):
+            return gather(x_tokens, mask)[0], None
+
+        bad = mismatched_gradients(tiny_config(), monkeypatch, without_key_mask)
+        assert "prompter.select.0.w" in bad and "prompter.embed.0.w" in bad
+
+    @pytest.mark.parametrize("straight_through", [True, False])
+    def test_key_count_follows_the_mask(self, straight_through):
+        pcfg = prompter.FramePrompterConfig(frames=8, segments=4, patches=2, d_model=3)
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+        mask = prompter.gumbel_sample_soft(logits, 0.5, rng, pcfg, straight_through=straight_through)
+        x_tokens = Tensor(rng.normal(size=(2, 8, 2, 3)))
+        keys, key_mask = prompter.frame_keys(x_tokens, mask)
+        if straight_through:
+            picked = np.array(mask.selected)
+            assert keys.shape == (2, 4 * 2, 3)
+            assert np.array_equal(keys.data.reshape(2, 4, 2, 3),
+                                  x_tokens.data[np.arange(2)[:, None], picked])
+            assert np.array_equal(key_mask.data, np.ones((2, 8)))
+        else:
+            assert keys.shape == (2, 8 * 2, 3)
+            assert np.array_equal(key_mask.data, np.repeat(mask.soft.data, 2, axis=1))
+        backward(T.sum_all(T.mul(key_mask, Tensor(rng.normal(size=key_mask.shape)))))
+        assert np.any(logits.grad != 0.0)
