@@ -100,12 +100,12 @@ def self_attention(params: AttentionParams, tokens: Tensor,
 
 @dataclass
 class MlpParams:
-    """An ordered stack of fully-connected, layer-norm and activation steps.
+    """An ordered stack of fully-connected, layer-norm and relu steps.
 
     steps entries:
       ("fc", weight, bias_or_None)
       ("ln", gain, bias, eps)
-      ("act", "relu" | "gelu")
+      ("act",)                   the relu activation
     Consecutive fc shapes must compose; `mlp_apply` raises otherwise.
     """
 
@@ -136,10 +136,8 @@ def ln_step(d: int, eps: float = 1e-5):
     return ("ln", Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True), eps)
 
 
-def act_step(kind: str):
-    if kind not in ("relu", "gelu"):
-        raise ValueError(f"unknown activation {kind!r}")
-    return ("act", kind)
+def act_step():
+    return ("act",)
 
 
 def mlp_apply(params: MlpParams, x: Tensor) -> Tensor:
@@ -159,7 +157,7 @@ def mlp_apply(params: MlpParams, x: Tensor) -> Tensor:
                 raise ValueError(f"layer-norm width {gain.shape[0]} does not match input {x.shape[-1]}")
             x = T.layer_norm(x, gain, bias, eps)
         elif kind == "act":
-            x = T.relu(x) if step[1] == "relu" else T.gelu(x)
+            x = T.relu(x)
         else:
             raise ValueError(f"unknown mlp step {kind!r}")
     return x

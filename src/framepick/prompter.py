@@ -16,7 +16,7 @@ soft mask to ~1e-4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class FramePrompterParams:
         embed = nn.MlpParams([
             nn.fc_step(n, h, rng, bias=False),
             nn.ln_step(h),
-            nn.act_step("relu"),
+            nn.act_step(),
             nn.fc_step(h, n, rng, bias=False),
         ])
         # small init keeps the initial per-segment distribution near uniform
@@ -86,18 +86,16 @@ class FramePrompterParams:
 class SelectionMask:
     """One sampled (or argmax) frame selection for a batch.
 
-    hard: [B, T] 0/1 array with one 1 per segment; soft: the
-    differentiable [B, T] mask when a relaxed sample exists (values equal
-    `hard` bitwise under straight-through, and `frame_keys` then gathers
-    the selected frames); per_segment: [B, S, T/S] segment-local weights;
-    selected: per-row sorted frame indices, S each.
+    hard: [B, T] 0/1 array with one 1 per segment, segment-major, so
+    reshaping it to [B, S, T/S] gives each segment's one-hot; selected:
+    per-row sorted frame indices, S each; soft: the differentiable [B, T]
+    mask when a relaxed sample exists (values equal `hard` bitwise under
+    straight-through, and `frame_keys` then gathers the selected frames).
     """
 
     hard: np.ndarray
     selected: list
     soft: Tensor | None = None
-    per_segment: Tensor | None = None
-    per_segment_hard: np.ndarray | None = None
 
 
 def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
@@ -156,16 +154,18 @@ def gumbel_sample_hard(logits: Tensor, rng: np.random.Generator | None,
     one_hot = np.zeros_like(data)
     np.put_along_axis(one_hot, pick[..., None], 1.0, axis=-1)
     hard, selected = _assemble_segmented(one_hot, cfg)
-    return SelectionMask(hard=hard, selected=selected, per_segment_hard=one_hot)
+    return SelectionMask(hard=hard, selected=selected)
 
 
 def gumbel_sample_soft(logits: Tensor, tau: float, rng: np.random.Generator | None,
                        cfg: FramePrompterConfig, straight_through: bool = True,
                        noise: np.ndarray | None = None) -> SelectionMask:
-    """Relaxed per-segment selection: softmax((log p + g) / tau).
+    """Relaxed per-segment selection: softmax((log p + g) / tau), flattened
+    to the [B, T] `soft` mask.
 
-    With straight_through the forward mask equals the hard one-hot from the
-    same noise draw, while gradients flow through the relaxed weights.
+    With straight_through, `soft` is hard + (relaxed - stop_gradient(relaxed)):
+    its forward values equal the hard one-hot from the same noise draw
+    bitwise, while gradients flow through the relaxed weights.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -175,17 +175,10 @@ def gumbel_sample_soft(logits: Tensor, tau: float, rng: np.random.Generator | No
     logp = T.log_softmax(logits, axis=-1)
     z = T.add(logp, Tensor(g)) * (1.0 / tau)
     soft_seg = T.softmax(z, axis=-1)  # [B, S, T/S]
-    b = logits.shape[0]
-    soft_flat = T.reshape(soft_seg, (b, cfg.frames))
-
+    soft = T.reshape(soft_seg, (logits.shape[0], cfg.frames))
     if straight_through:
-        seg = T.add(Tensor(hard_mask.per_segment_hard), T.sub(soft_seg, soft_seg.detach()))
-        flat = T.add(Tensor(hard_mask.hard), T.sub(soft_flat, soft_flat.detach()))
-    else:
-        seg, flat = soft_seg, soft_flat
-    return SelectionMask(hard=hard_mask.hard, selected=hard_mask.selected,
-                         soft=flat, per_segment=seg,
-                         per_segment_hard=hard_mask.per_segment_hard)
+        soft = T.add(Tensor(hard_mask.hard), T.sub(soft, soft.detach()))
+    return SelectionMask(hard=hard_mask.hard, selected=hard_mask.selected, soft=soft)
 
 
 def tau_schedule(step: int, total_steps: int, cfg: FramePrompterConfig) -> float:

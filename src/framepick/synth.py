@@ -1,6 +1,8 @@
 """Planted-keyframe synthetic video-QA generator.
 
-Each sample is a question about one attribute of a synthetic video. K
+Each sample is a question about one attribute of a synthetic video. The T
+frames split into K equal segments, each holding one keyframe at a random
+offset, the placement a one-frame-per-segment selector can recover. The K
 keyframes carry the patterns of K distinct attributes (one attribute per
 keyframe, values drawn independently) plus a shared marker pattern; the
 question asks about one of the attributes present, so exactly one keyframe
@@ -16,22 +18,18 @@ All patterns and the marker are mutually orthogonal, so the built-in decoder
 (correlate-and-argmax over the queried attribute's tagged patterns,
 max-pooled over the frames it is allowed to read) recovers the answer from
 the keyframes with a wide margin. Generation is deterministic: every sample
-derives its own stream from (seed, split, index).
+derives its own stream from (seed, split, index). A dataset has no file
+format: it is regenerated from its `DatasetSpec`, which a training config
+(and so its digest) carries.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-PLACEMENTS = ("one_per_segment", "uniform_random", "clustered")
-
 # token layout inside the shared vocabulary
-TOK_PAD = 0
 TOK_ATTR_BASE = 10
 TOK_VALUE_BASE = 32
 
@@ -48,7 +46,6 @@ class DatasetSpec:
     num_attributes: int = 4
     noise_std: float = 0.3
     decoy_prob: float = 0.5
-    keyframe_placement: str = "one_per_segment"
     seed: int = 0
 
     def __post_init__(self):
@@ -56,10 +53,8 @@ class DatasetSpec:
             raise ValueError("K must not exceed T")
         if self.num_train < 1 or self.num_val < 1:
             raise ValueError("split counts must be at least 1")
-        if self.keyframe_placement not in PLACEMENTS:
-            raise ValueError(f"unknown keyframe placement {self.keyframe_placement!r}")
-        if self.keyframe_placement == "one_per_segment" and self.frames % self.num_keyframes != 0:
-            raise ValueError("one_per_segment needs K to divide T")
+        if self.frames % self.num_keyframes != 0:
+            raise ValueError("one keyframe per segment needs K to divide T")
         if self.num_attributes < self.num_keyframes:
             raise ValueError("need at least one attribute per keyframe (num_attributes >= K)")
         if TOK_VALUE_BASE + self.num_choices > 64 or TOK_ATTR_BASE + self.num_attributes > TOK_VALUE_BASE:
@@ -110,21 +105,15 @@ class PatternBank:
 
 
 def _f32_exact(x: np.ndarray) -> np.ndarray:
-    """Round through float32 so in-memory values match the export format."""
+    """Round through float32. The values it yields define the generated data,
+    which the training digests pin."""
     return x.astype(np.float32).astype(np.float64)
 
 
 def _place_keyframes(spec: DatasetSpec, rng: np.random.Generator) -> tuple:
-    t, k = spec.frames, spec.num_keyframes
-    if spec.keyframe_placement == "one_per_segment":
-        seg = t // k
-        picks = [int(s * seg + rng.integers(seg)) for s in range(k)]
-    elif spec.keyframe_placement == "uniform_random":
-        picks = sorted(int(i) for i in rng.choice(t, size=k, replace=False))
-    else:  # clustered: K consecutive frames
-        start = int(rng.integers(t - k + 1))
-        picks = list(range(start, start + k))
-    return tuple(sorted(picks))
+    """One keyframe at a uniform offset in each of K equal segments."""
+    seg = spec.frames // spec.num_keyframes
+    return tuple(int(s * seg + rng.integers(seg)) for s in range(spec.num_keyframes))
 
 
 def _make_sample(spec: DatasetSpec, bank: PatternBank, split: int, index: int) -> SynthSample:
@@ -222,104 +211,12 @@ def uniform_frame_indices(t: int, k: int) -> tuple:
 
 def expected_uniform_keyframe_hits(spec: DatasetSpec, k: int) -> float:
     """Exact expected |uniform picks  intersect  keyframes| / K, enumerated over
-    every keyframe placement the spec admits."""
+    every offset of each segment's keyframe."""
     picks = set(uniform_frame_indices(spec.frames, k))
-    t, kf = spec.frames, spec.num_keyframes
-    if spec.keyframe_placement == "one_per_segment":
-        seg = t // kf
-        total = 0.0
-        for s in range(kf):
-            positions = range(s * seg, (s + 1) * seg)
-            total += sum(p in picks for p in positions) / seg
-        return total / kf
-    if spec.keyframe_placement == "uniform_random":
-        # each frame is a keyframe with probability K/T by symmetry
-        return len(picks) / t
-    # clustered: enumerate every start offset
-    starts = t - kf + 1
+    kf = spec.num_keyframes
+    seg = spec.frames // kf
     total = 0.0
-    for start in range(starts):
-        block = set(range(start, start + kf))
-        total += len(block & picks) / kf
-    return total / starts
-
-
-# ---------------------------------------------------------------------------
-# on-disk format: JSON manifest + one little-endian float32 blob per split
-
-def _spec_canonical(spec: DatasetSpec) -> str:
-    return json.dumps(asdict(spec), sort_keys=True, separators=(",", ":"))
-
-
-def dataset_digest(directory) -> str:
-    directory = Path(directory)
-    h = hashlib.sha256()
-    for name in ("manifest.json", "train.f32", "val.f32"):
-        h.update(hashlib.sha256((directory / name).read_bytes()).digest())
-    return h.hexdigest()
-
-
-def save_dataset(directory, spec: DatasetSpec, train, val, force: bool = False) -> None:
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise FileExistsError(f"{manifest_path} exists; pass force to overwrite")
-    directory.mkdir(parents=True, exist_ok=True)
-
-    manifest = {"spec": asdict(spec), "splits": {}}
-    for name, samples in (("train", train), ("val", val)):
-        blob = directory / f"{name}.f32"
-        with open(blob, "wb") as fh:
-            for s in samples:
-                fh.write(s.raw_video.astype("<f4").tobytes())
-        manifest["splits"][name] = {
-            "file": blob.name,
-            "count": len(samples),
-            "video_shape": [spec.frames, spec.patches, spec.raw_dim],
-            "samples": [{
-                "question": s.question.tolist(),
-                "choices": s.choices.tolist(),
-                "answer_idx": s.answer_idx,
-                "keyframes": list(s.keyframes),
-                "attribute": s.attribute,
-                "value": s.value,
-                "keyframe_attrs": list(s.keyframe_attrs),
-                "keyframe_values": list(s.keyframe_values),
-                "seed": s.seed,
-            } for s in samples],
-        }
-    tmp = manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
-    tmp.rename(manifest_path)
-
-
-def load_dataset(directory):
-    """Read a dataset directory back: returns (spec, train, val)."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    spec = DatasetSpec(**manifest["spec"])
-    out = {}
-    for name in ("train", "val"):
-        meta = manifest["splits"][name]
-        shape = tuple(meta["video_shape"])
-        per = int(np.prod(shape))
-        flat = np.frombuffer((directory / meta["file"]).read_bytes(), dtype="<f4")
-        if flat.size != per * meta["count"]:
-            raise ValueError(f"{name} blob size does not match the manifest")
-        videos = flat.astype(np.float64).reshape(meta["count"], *shape)
-        samples = []
-        for i, m in enumerate(meta["samples"]):
-            samples.append(SynthSample(
-                raw_video=videos[i],
-                question=np.array(m["question"], dtype=np.int64),
-                choices=np.array(m["choices"], dtype=np.int64),
-                answer_idx=int(m["answer_idx"]),
-                keyframes=tuple(m["keyframes"]),
-                attribute=int(m["attribute"]),
-                value=int(m["value"]),
-                keyframe_attrs=tuple(m["keyframe_attrs"]),
-                keyframe_values=tuple(m["keyframe_values"]),
-                seed=int(m["seed"]),
-            ))
-        out[name] = samples
-    return spec, out["train"], out["val"]
+    for s in range(kf):
+        positions = range(s * seg, (s + 1) * seg)
+        total += sum(p in picks for p in positions) / seg
+    return total / kf

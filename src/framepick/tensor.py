@@ -9,8 +9,6 @@ for higher-order gradients.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _FINITE_CHECKS = False
@@ -56,9 +54,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -382,22 +377,6 @@ def relu(x: Tensor) -> Tensor:
 
     def bw(g):
         _acc(x, g * (x.data > 0.0))
-
-    return _op(out_data, (x,), bw)
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
-
-    def bw(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        _acc(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du))
 
     return _op(out_data, (x,), bw)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn, prompter, qformer, surrogates, synth
+from . import prompter, qformer, surrogates, synth
 from . import tensor as T
 from .prompter import FramePrompterConfig, FramePrompterParams, SelectionMask
 from .qformer import DistillDecoderParams, QFormerParams
@@ -56,7 +56,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     lambda_distill: float = 1.0
     use_prompter: bool = True
-    unfreeze_heads: bool = False
     eval_every: int = 200
     eval_samples: int = 256
     checkpoint_every: int = 0     # 0: final checkpoint only
@@ -74,6 +73,10 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.lambda_distill < 0:
             raise ValueError("lambda_distill must be nonnegative")
+        if self.eval_samples < 1:
+            raise ValueError("eval_samples must be at least 1")
+        if self.eval_every < 0 or self.checkpoint_every < 0:
+            raise ValueError("eval_every and checkpoint_every must be nonnegative")
         # the prompter consumes the dataset's geometry
         if (self.prompter_cfg.frames != self.data.frames
                 or self.prompter_cfg.patches != self.data.patches):
@@ -133,16 +136,18 @@ TEACHER_GROUPS = ("teacher.", "text.", "answer.")
 STUDENT_GROUPS = ("student.", "prompter.", "decoder.")
 
 
-def trainable_names(bundle: ModelBundle, stage: str, cfg: TrainConfig) -> set:
+def trainable_names(bundle: ModelBundle, stage: str) -> set:
+    """The parameters a stage trains: its groups' names (`TEACHER_GROUPS` or
+    `STUDENT_GROUPS`); the student stage keeps the text encoder and answer
+    head frozen."""
     groups = TEACHER_GROUPS if stage == STAGE_TEACHER else STUDENT_GROUPS
-    if stage == STAGE_STUDENT and cfg.unfreeze_heads:
-        groups = groups + ("text.", "answer.")
     return {name for name in bundle.named_params() if name.startswith(groups)}
 
 
-def set_stage(bundle: ModelBundle, stage: str, cfg: TrainConfig) -> dict:
-    """Flip requires_grad per the stage registry; returns trainable params."""
-    trainable = trainable_names(bundle, stage, cfg)
+def set_stage(bundle: ModelBundle, stage: str) -> dict:
+    """Set requires_grad on exactly the stage's `trainable_names`, clear every
+    gradient; returns the trainable params by sorted name."""
+    trainable = trainable_names(bundle, stage)
     named = bundle.named_params()
     for name, p in named.items():
         p.requires_grad = name in trainable
@@ -507,10 +512,10 @@ class FrozenGradientError(AssertionError):
     pass
 
 
-def audit_frozen_gradients(bundle: ModelBundle, stage: str, cfg: TrainConfig) -> None:
+def audit_frozen_gradients(bundle: ModelBundle, stage: str) -> None:
     """Every parameter outside the stage's trainable set must hold a zero
     (or absent) gradient after backward."""
-    trainable = trainable_names(bundle, stage, cfg)
+    trainable = trainable_names(bundle, stage)
     for name, p in bundle.named_params().items():
         if name in trainable:
             continue
@@ -568,7 +573,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
     f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps before the
     last) and f"{stage}.ckpt" (final).
     """
-    params = set_stage(bundle, stage, cfg)
+    params = set_stage(bundle, stage)
     opt = AdamWState()
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, rng_tag))))
     start_step = 0
@@ -603,7 +608,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
                 raise RuntimeError(f"non-finite loss at step {step}; aborting")
             backward(loss)
             if cfg.audit_frozen:
-                audit_frozen_gradients(bundle, stage, cfg)
+                audit_frozen_gradients(bundle, stage)
             clip_global_norm(params, cfg.grad_clip)
             adamw_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
             for p in params.values():
@@ -686,6 +691,8 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     evaluations report no selection metrics (not applicable), and no row
     reports a selection overlap or a temperature.
     """
+    if not samples:
+        raise ValueError("evaluate needs at least one sample")
     t0 = time.perf_counter()
     correct = 0
     losses = []

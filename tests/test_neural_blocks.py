@@ -151,7 +151,7 @@ class TestMlp:
         out = nn.mlp_apply(params, Tensor(rng.normal(size=(2, 4))))
         assert np.allclose(out.data, bias.data)
 
-    def test_fc_ln_gelu_fc_matches_hand_composition(self, rng):
+    def test_fc_ln_relu_fc_matches_hand_composition(self, rng):
         d = 4
         w1 = rng.normal(size=(d, d))
         w2 = rng.normal(size=(d, d))
@@ -161,13 +161,13 @@ class TestMlp:
         params = nn.MlpParams([
             ("fc", Tensor(w1), None),
             ("ln", Tensor(gain), Tensor(bias), 1e-5),
-            ("act", "gelu"),
+            nn.act_step(),
             ("fc", Tensor(w2), Tensor(b2)),
         ])
         x = rng.normal(size=(3, d))
         got = nn.mlp_apply(params, Tensor(x))
         manual = T.matmul(
-            T.gelu(T.layer_norm(T.matmul(Tensor(x), Tensor(w1)), Tensor(gain), Tensor(bias))),
+            T.relu(T.layer_norm(T.matmul(Tensor(x), Tensor(w1)), Tensor(gain), Tensor(bias))),
             Tensor(w2)) + Tensor(b2)
         assert np.array_equal(got.data, manual.data)
 
@@ -177,7 +177,7 @@ class TestMlp:
             nn.mlp_apply(params, Tensor(rng.normal(size=(1, 3))))
 
     def test_builders_and_named(self, rng):
-        params = nn.MlpParams([nn.fc_step(3, 5, rng), nn.ln_step(5), nn.act_step("relu"), nn.fc_step(5, 2, rng)])
+        params = nn.MlpParams([nn.fc_step(3, 5, rng), nn.ln_step(5), nn.act_step(), nn.fc_step(5, 2, rng)])
         out = nn.mlp_apply(params, Tensor(rng.normal(size=(7, 3))))
         assert out.shape == (7, 2)
         names = params.named("head")

@@ -108,7 +108,7 @@ class TestGumbelHard:
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         mask = gumbel_sample_hard(logits, None, cfg, noise=np.zeros(logits.shape))
         expect = logits.data.argmax(axis=-1)
-        got = mask.per_segment_hard.argmax(axis=-1)
+        got = mask.hard.reshape(logits.shape).argmax(axis=-1)
         assert np.array_equal(expect, got)
         assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments, cfg.segments])
 
@@ -121,7 +121,7 @@ class TestGumbelHard:
         draws = 100_000
         logits = Tensor(np.tile(np.log(probs), (draws, 1, 1)))
         mask = gumbel_sample_hard(logits, rng, cfg)
-        freqs = mask.per_segment_hard.mean(axis=0).ravel()
+        freqs = mask.hard.reshape(logits.shape).mean(axis=0).ravel()
         assert np.all(np.abs(freqs - probs) <= 0.01), freqs
 
     def test_shift_invariance_of_selection(self, cfg, rng):
@@ -144,12 +144,12 @@ class TestGumbelSoft:
         noise = rng.gumbel(size=logits.shape)
         mask = gumbel_sample_soft(logits, 0.01, None, cfg, straight_through=False, noise=noise)
         hard = gumbel_sample_hard(logits, None, cfg, noise=noise)
-        assert np.all(np.abs(mask.per_segment.data - hard.per_segment_hard) < 1e-6)
+        assert np.all(np.abs(mask.soft.data - hard.hard) < 1e-6)
 
     def test_high_temperature_approaches_uniform(self, cfg, rng):
         logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
         mask = gumbel_sample_soft(logits, 1e7, rng, cfg, straight_through=False)
-        assert np.allclose(mask.per_segment.data, 1.0 / cfg.frames_per_segment, atol=1e-6)
+        assert np.allclose(mask.soft.data, 1.0 / cfg.frames_per_segment, atol=1e-6)
 
     def test_straight_through_forward_equals_hard_bitwise(self, cfg, rng):
         logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
@@ -157,7 +157,6 @@ class TestGumbelSoft:
         st = gumbel_sample_soft(logits, 0.7, None, cfg, straight_through=True, noise=noise)
         hard = gumbel_sample_hard(logits.detach(), None, cfg, noise=noise)
         assert np.array_equal(st.soft.data, hard.hard)
-        assert np.array_equal(st.per_segment.data, hard.per_segment_hard)
         assert st.selected == hard.selected
 
     def test_straight_through_gradient_equals_soft_path(self, cfg, rng):
@@ -184,7 +183,7 @@ class TestGumbelSoft:
     def test_per_segment_rows_sum_to_one(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         mask = gumbel_sample_soft(logits, 0.5, rng, cfg, straight_through=False)
-        assert np.all(np.abs(mask.per_segment.data.sum(axis=-1) - 1.0) <= 1e-9)
+        assert np.all(np.abs(mask.soft.data.reshape(logits.shape).sum(axis=-1) - 1.0) <= 1e-9)
 
     def test_monotone_sharpening(self, cfg, rng):
         # lower temperature never blunts the winning weight for the same draw
@@ -193,7 +192,8 @@ class TestGumbelSoft:
             noise = rng.gumbel(size=logits.shape)
             lo = gumbel_sample_soft(logits, 0.3, None, cfg, straight_through=False, noise=noise)
             hi = gumbel_sample_soft(logits, 1.7, None, cfg, straight_through=False, noise=noise)
-            assert np.all(lo.per_segment.data.max(axis=-1) >= hi.per_segment.data.max(axis=-1) - 1e-12)
+            lo_seg, hi_seg = lo.soft.data.reshape(logits.shape), hi.soft.data.reshape(logits.shape)
+            assert np.all(lo_seg.max(axis=-1) >= hi_seg.max(axis=-1) - 1e-12)
 
     def test_nonpositive_tau_rejected(self, cfg, rng):
         logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from framepick import synth
-from framepick.synth import (DatasetSpec, PatternBank, dataset_digest, decode_sample,
-                             expected_uniform_keyframe_hits, generate, load_dataset,
-                             oracle_accuracy, save_dataset, uniform_frame_indices)
+from framepick.synth import (DatasetSpec, PatternBank, decode_sample,
+                             expected_uniform_keyframe_hits, generate,
+                             oracle_accuracy, uniform_frame_indices)
 
 
 def small_spec(**kw):
@@ -30,9 +29,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(num_train=0)
 
-    def test_placement_name(self):
-        with pytest.raises(ValueError):
-            small_spec(keyframe_placement="stripes")
+    def test_k_must_divide_t(self):
+        with pytest.raises(ValueError, match="K to divide T"):
+            small_spec(frames=18)
 
 
 class TestGeneration:
@@ -159,45 +158,6 @@ class TestOracles:
         spec, train, _, bank = dataset
         with pytest.raises(ValueError):
             oracle_accuracy("uniform_k", train, spec, spec.frames + 1, bank)
-
-
-class TestPlacements:
-    def test_uniform_random_placement(self):
-        spec = small_spec(keyframe_placement="uniform_random", num_train=30)
-        train, _ = generate(spec)
-        for s in train:
-            assert len(set(s.keyframes)) == spec.num_keyframes
-
-    def test_clustered_placement_is_consecutive(self):
-        spec = small_spec(keyframe_placement="clustered", num_train=30)
-        train, _ = generate(spec)
-        for s in train:
-            ks = list(s.keyframes)
-            assert ks == list(range(ks[0], ks[0] + spec.num_keyframes))
-
-
-class TestRoundTrip:
-    def test_save_load_save_is_bit_exact(self, tmp_path, dataset):
-        spec, train, val, _ = dataset
-        d1 = tmp_path / "a"
-        save_dataset(d1, spec, train, val)
-        spec2, train2, val2 = load_dataset(d1)
-        assert spec2 == spec
-        for a, b in zip(train + val, train2 + val2):
-            assert np.array_equal(a.raw_video, b.raw_video)
-            assert a.keyframes == b.keyframes and a.answer_idx == b.answer_idx
-        d2 = tmp_path / "b"
-        save_dataset(d2, spec2, train2, val2)
-        for name in ("manifest.json", "train.f32", "val.f32"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-        assert dataset_digest(d1) == dataset_digest(d2)
-
-    def test_overwrite_requires_force(self, tmp_path, dataset):
-        spec, train, val, _ = dataset
-        save_dataset(tmp_path / "d", spec, train, val)
-        with pytest.raises(FileExistsError):
-            save_dataset(tmp_path / "d", spec, train, val)
-        save_dataset(tmp_path / "d", spec, train, val, force=True)
 
 
 def test_uniform_frame_indices_spread():

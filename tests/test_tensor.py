@@ -139,17 +139,6 @@ class TestActivations:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_gelu_odd_fixed_point(self):
-        assert T.gelu(Tensor(0.0)).item() == 0.0
-
-    @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.5, 2.0])
-    def test_gelu_gradient(self, x0):
-        def f(x):
-            return T.sum_all(T.gelu(x))
-
-        report = grad_check(f, Tensor([x0]), tol=1e-5)
-        assert report.passed, report
-
     def test_relu_gradient_away_from_kink(self, rng):
         x = rng.normal(size=8)
         x[np.abs(x) < 0.1] += 0.2  # relu is non-differentiable at 0

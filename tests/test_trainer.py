@@ -123,43 +123,43 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
         "student/student.ckpt":
-            "ce79fb924ec333f93aa426ae404882e379ab730ff60257ec7dca67bc8178706e",
+            "b4cdd9bcaece5ad9871b64b441c86c43841ae12c928f5841da2957d9faa92bcf",
         "student/student_step2.ckpt":
-            "7f8ca1c177fd0bcf49cccc8649ebff212238a5b76b34c03626fcb04b5a45227c",
+            "37df837651848e26fce4e0f0536e57b8a77ff0cfebad75466f52edafb9771f51",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "6f1a78c7291e170d411e4bf1aba7115e00da6c4e7dcdb5a5a90ea6a9d0bbac7f",
+            "b843e9204946ebfb0b6d63b52c966f302f4b158f301f1160a4bcc0197dfa1a2b",
         "teacher/teacher_step2.ckpt":
-            "61469f8c63358d9fa0f5648eec2ed1e99c539c5c4a29a2887b20060f3ea95d91",
+            "0856a6e01ea01b28fc3334bb44c8c171078c089a62e34063435774171dcbdaf8",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "db165110203ba9b7e0ea1752fd02c295321ad36cff4410e0e4ed9b2ada0a8385",
         "student/student.ckpt":
-            "cb69f18779c9e9452bfbfdd7e7342964b21aa0758a3ac7ba77cce120c84845ae",
+            "562ef50287f94ea3e034567f29952106392b343762d91505dbda477f0c8d6377",
         "student/student_step2.ckpt":
-            "b26ad2eb9794cbeb4cfa17f1dfc6cec9d3566732a6a7c88d6efd280e89bae7e8",
+            "be5878ee25a8127fe1743ff19c8fd04e97e32daf035e70561993f9f844c2cd46",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "078dd6c0e565965aa89691b579b1a0158fe4184ceec8ce89eefdc45656462043",
+            "fe5b130773bf53c8ef51a23cf980ebd2739a7f47a76166fb9c386acb600ed00e",
         "teacher/teacher_step2.ckpt":
-            "e11ecfa1ed68fc75e4c35fcfa4210705d6b4f6cb8265769d2d7f983ac4c5a3dd",
+            "6474bc8bd66e7b8da160695ff342f0fbfee4de7819b24ae127f85ab3ca236823",
     },
     "no_distill": {
         "student/metrics.csv":
             "6ed625121cb40580722947b00d60fd705956525d0eef8caa73dc90612a546417",
         "student/student.ckpt":
-            "c01466de4c59a121ca7f2cac13070919f1454fb6ad6c09b1ef7a86fddfd937ac",
+            "9f89b0f4b80a34faf28f29b3fac9194ad326577fadb205fce0910daf4b1cbf38",
         "student/student_step2.ckpt":
-            "b35e090860fee5b5f2b1ec2d1e85af3169673fb13fe54a03bd1a6fc389e97662",
+            "1869edd69bd41d60058da17bc383172ece889af92e9284026a842f4ccd9a7bc5",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "a27cd39332d9853c93539cc9730d231760309acb0e0222cedaa0f89383e02786",
+            "db4a2d2fc410e5f04b43ad6e3b02c41075011975dc47fb37940d8813dc8e1b91",
         "teacher/teacher_step2.ckpt":
-            "c7f7c10fc8dce7a91a7518d9617093c81a5647d9a65858abe9a2c81a44c86540",
+            "f946a38877d97acb1faa2e288f8560ee69f2533d33319dbb0c385d1d61c25961",
     },
 }
 
@@ -239,14 +239,14 @@ class TestStageGuards:
     def test_audit_catches_planted_frozen_gradient(self):
         cfg = tiny_config()
         bundle = trainer.build_models(cfg)
-        trainer.set_stage(bundle, trainer.STAGE_STUDENT, cfg)
-        trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT, cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT)
         frozen = bundle.teacher_proj
         frozen.grad = np.zeros_like(frozen.data)
-        trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT, cfg)
+        trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT)
         frozen.grad[0, 0] = 1e-12
         with pytest.raises(trainer.FrozenGradientError, match="'teacher.proj'"):
-            trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT, cfg)
+            trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT)
 
 
 class TestTrainConfig:
@@ -263,10 +263,19 @@ class TestTrainConfig:
         ({"lambda_distill": -0.5}, "lambda_distill"),
         ({"data": synth.DatasetSpec(frames=16, patches=2)}, "must match the dataset"),
         ({"data": synth.DatasetSpec(frames=8, patches=3)}, "must match the dataset"),
-    ], ids=["teacher_steps", "student_steps", "batch_size", "lambda_distill", "frames", "patches"])
+        ({"eval_samples": 0}, "eval_samples"),
+        ({"eval_every": -1}, "eval_every"),
+        ({"checkpoint_every": -1}, "checkpoint_every"),
+    ], ids=["teacher_steps", "student_steps", "batch_size", "lambda_distill", "frames", "patches",
+            "eval_samples", "eval_every", "checkpoint_every"])
     def test_invalid_config_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
+
+    def test_evaluate_rejects_empty_samples(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="at least one sample"):
+            trainer.evaluate(trainer.build_models(cfg), cfg, [], trainer.STAGE_STUDENT)
 
 
 class TestCosineLr:
@@ -361,7 +370,7 @@ def student_loss_and_grads(cfg):
     """Stage-2 loss on one batch and every trainable parameter's gradient."""
     train, _ = synth.generate(cfg.data)
     bundle = trainer.build_models(cfg)
-    params = trainer.set_stage(bundle, trainer.STAGE_STUDENT, cfg)
+    params = trainer.set_stage(bundle, trainer.STAGE_STUDENT)
     loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg, 1,
                                       np.random.default_rng(3))
     backward(loss)
