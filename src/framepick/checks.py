@@ -27,7 +27,8 @@ def _jitter(x: np.ndarray, margin: float = 0.15) -> np.ndarray:
 
 
 def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
-    """Every registered differentiable primitive, `instances` random points each."""
+    """Every differentiable primitive of `tensor` (each one has a model
+    caller), `instances` random points each."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -47,9 +48,6 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
         check(f"add[{i}]", lambda a: T.sum_all(T.mul(T.add(a, Tensor(w23)), Tensor(w23))), rng.normal(size=(2, 3)))
         check(f"sub[{i}]", lambda a: T.sum_all(T.mul(T.sub(a, Tensor(w23)), Tensor(w23))), rng.normal(size=(2, 3)))
         check(f"mul[{i}]", lambda a: T.sum_all(T.mul(a, Tensor(w23))), rng.normal(size=(2, 3)))
-        check(f"div[{i}]", lambda a: T.sum_all(T.div(Tensor(w23), a)), _jitter(rng.normal(size=(2, 3)), 0.5))
-        check(f"exp[{i}]", lambda a: T.sum_all(T.exp(a)), rng.normal(size=5))
-        check(f"log[{i}]", lambda a: T.sum_all(T.log(a)), np.abs(rng.normal(size=5)) + 0.5)
         check(f"softmax[{i}]", lambda a: T.sum_all(T.mul(T.softmax(a, -1), Tensor(w24))), rng.normal(size=(2, 4)))
         check(f"log_softmax[{i}]", lambda a: T.sum_all(T.mul(T.log_softmax(a, -1), Tensor(w24))), rng.normal(size=(2, 4)))
         check(f"relu[{i}]", lambda a: T.sum_all(T.relu(a)), _jitter(rng.normal(size=6)))
@@ -94,8 +92,10 @@ def run_prompter_suite(seed: int = 0, tau: float = 0.5, tol: float = 1e-4, insta
         readout = rng.normal(size=(cfg.d_model, 1))
 
         def scalar_through(p):
-            fused, _ = prompter.select_frames(Tensor(x), Tensor(tokens), Tensor(text),
-                                              p, cfg, "train", tau=tau, noise=noise)
+            # the guide reads the picked keys as `trainer.student_forward` does
+            mask = prompter.select_frames(Tensor(x), p, cfg, "train", tau=tau, noise=noise)
+            keys, key_mask = prompter.frame_keys(Tensor(tokens), mask)
+            fused = nn.cross_attention(p.guide_attn, Tensor(text), keys, key_mask=key_mask)
             return T.sum_all(T.matmul(fused, Tensor(readout)))
 
         def f_head(w):
@@ -114,8 +114,7 @@ def run_prompter_suite(seed: int = 0, tau: float = 0.5, tol: float = 1e-4, insta
             return scalar_through(p)
 
         def f_guide(wq):
-            guide = nn.AttentionParams(cfg.d_model, cfg.num_heads, wq,
-                                       params.guide_attn.wk, params.guide_attn.wv,
+            guide = nn.AttentionParams(wq, params.guide_attn.wk, params.guide_attn.wv,
                                        params.guide_attn.wo)
             p = prompter.FramePrompterParams(embed=params.embed,
                                              select_head=params.select_head, guide_attn=guide)
@@ -149,8 +148,8 @@ def run_qformer_suite(seed: int = 0, tol: float = 1e-5, instances: int = 3):
             return out_scalar(qformer.QFormerParams(q, params.self_attn, params.cross_attn, 2, 2))
 
         def f_cross_wq(wq):
-            cross = nn.AttentionParams(d, 1, wq, params.cross_attn.wk,
-                                       params.cross_attn.wv, params.cross_attn.wo)
+            cross = nn.AttentionParams(wq, params.cross_attn.wk, params.cross_attn.wv,
+                                       params.cross_attn.wo)
             return out_scalar(qformer.QFormerParams(params.query_tokens, params.self_attn, cross, 2, 2))
 
         def f_decoder(w):
@@ -186,8 +185,7 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
                                         d_model=12, embed_hidden=6, tau_start=0.5,
                                         straight_through=False)
     cfg = trainer.TrainConfig(seed=seed, teacher_steps=1, student_steps=1,
-                              prompter_cfg=pcfg, qformer_cfg=trainer.QFormerConfig(num_queries=3),
-                              data=spec)
+                              num_queries=3, prompter_cfg=pcfg, data=spec)
     train_samples, _ = synth.generate(spec)
     bundle = trainer.build_models(cfg)
     trainer.set_stage(bundle, trainer.STAGE_STUDENT)

@@ -1,11 +1,11 @@
 """Attention and MLP building blocks shared by the frame selector and the
 query-token fusion models.
 
-Attention here is the bare scaled-dot-product kind: no residuals, no
-feed-forward sublayers, no positional terms (callers inject positions as
-additive embeddings when they need them). Soft key masks enter the logits
-additively through `masked_log`, so a hard 0/1 mask removes keys exactly
-while a relaxed mask in (0, 1) keeps a well-defined gradient path.
+Attention here is the bare single-head scaled-dot-product kind: no
+residuals, no feed-forward sublayers, no positional terms (callers inject
+positions as additive embeddings when they need them). Soft key masks enter
+the logits additively through `masked_log`, so a hard 0/1 mask removes keys
+exactly while a relaxed mask in (0, 1) keeps a well-defined gradient path.
 """
 
 from __future__ import annotations
@@ -21,50 +21,38 @@ from .tensor import Tensor
 
 @dataclass
 class AttentionParams:
-    """Projection weights for one multi-head attention block (no biases)."""
+    """Projection weights for one single-head attention block (no biases)."""
 
-    d_model: int
-    num_heads: int
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
 
-    def __post_init__(self):
-        if self.d_model % self.num_heads != 0:
-            raise ValueError(f"num_heads {self.num_heads} must divide d_model {self.d_model}")
-
     @classmethod
-    def init(cls, d_model: int, num_heads: int, rng: np.random.Generator) -> "AttentionParams":
+    def init(cls, d_model: int, rng: np.random.Generator) -> "AttentionParams":
         scale = 1.0 / math.sqrt(d_model)
 
         def w():
             return Tensor(rng.normal(size=(d_model, d_model)) * scale, requires_grad=True)
 
-        return cls(d_model=d_model, num_heads=num_heads, wq=w(), wk=w(), wv=w(), wo=w())
+        return cls(wq=w(), wk=w(), wv=w(), wo=w())
+
+    @property
+    def d_model(self) -> int:
+        return self.wq.shape[0]
 
     def named(self, prefix: str) -> dict:
         return {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
 
-def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    b, length, d = x.shape
-    x = T.reshape(x, (b, length, num_heads, d // num_heads))
-    return T.transpose(x, (0, 2, 1, 3))  # [b, h, L, dh]
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, length, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, length, h * dh))
-
-
 def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tensor,
                     key_mask: Tensor | None = None, return_weights: bool = False):
-    """softmax(Q K^T / sqrt(d_head) + log mask) V per head, then Wo.
+    """softmax(Q K^T / sqrt(d) + log mask) V, then Wo.
 
     queries: [b, Lq, d]; keys_values: [b, Lk, d]; key_mask: optional [b, Lk]
-    with entries in [0, 1] (hard 0/1 masks remove keys exactly).
+    with entries in [0, 1] (hard 0/1 masks remove keys exactly). With
+    `return_weights`, also returns the [b, Lq, Lk] attention weights.
     """
     if queries.shape[-1] != params.d_model or keys_values.shape[-1] != params.d_model:
         raise ValueError(
@@ -75,18 +63,16 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
         if np.any(key_mask.data.sum(axis=1) == 0.0):
             raise ValueError("no attendable keys: a mask row is entirely zero")
 
-    b, lk, _ = keys_values.shape
-    dh = params.d_model // params.num_heads
-    q = _split_heads(T.matmul(queries, params.wq), params.num_heads)
-    k = _split_heads(T.matmul(keys_values, params.wk), params.num_heads)
-    v = _split_heads(T.matmul(keys_values, params.wv), params.num_heads)
+    b, lk, d = keys_values.shape
+    q = T.matmul(queries, params.wq)
+    k = T.matmul(keys_values, params.wk)
+    v = T.matmul(keys_values, params.wv)
 
-    logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    logits = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(d))
     if key_mask is not None:
-        logits = T.add(logits, T.reshape(T.masked_log(key_mask), (b, 1, 1, lk)))
-    weights = T.softmax(logits, axis=-1)  # [b, h, Lq, Lk]
-    context = _merge_heads(T.matmul(weights, v))
-    out = T.matmul(context, params.wo)
+        logits = T.add(logits, T.reshape(T.masked_log(key_mask), (b, 1, lk)))
+    weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]
+    out = T.matmul(T.matmul(weights, v), params.wo)
     if return_weights:
         return out, weights
     return out

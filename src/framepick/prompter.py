@@ -1,9 +1,10 @@
 """Text-guided differentiable frame selection.
 
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
-vector, score the frames of each of S contiguous temporal segments, draw one
-frame per segment with Gumbel noise, and fuse the selected visual tokens
-with the question text through cross-attention.
+vector, score the frames of each of S contiguous temporal segments, and
+draw one frame per segment with Gumbel noise (`select_frames`). The student
+forward gathers the picks once (`frame_keys`) and fuses them with the
+question text through `guide_attn` and through the student fusion.
 
 Selection is trained through the Gumbel-Softmax relaxation; the straight-
 through variant keeps the hard one-hot mask in the forward pass while
@@ -35,7 +36,6 @@ class FramePrompterConfig:
     tau_end: float = 0.01
     straight_through: bool = True
     embed_hidden: int = 32
-    num_heads: int = 1
 
     def __post_init__(self):
         if not 1 <= self.segments <= self.frames:
@@ -71,7 +71,7 @@ class FramePrompterParams:
         ])
         # small init keeps the initial per-segment distribution near uniform
         head = nn.MlpParams([nn.fc_step(cfg.frames_per_segment * n, cfg.frames_per_segment, rng, scale=0.01)])
-        guide = nn.AttentionParams.init(cfg.d_model, cfg.num_heads, rng)
+        guide = nn.AttentionParams.init(cfg.d_model, rng)
         return cls(embed=embed, select_head=head, guide_attn=guide)
 
     def named(self, prefix: str) -> dict:
@@ -220,32 +220,16 @@ def frame_keys(x_tokens: Tensor, mask: SelectionMask):
     return keys, None if soft is None else _per_token(T.gather_frames(soft, idx), n)
 
 
-def apply_mask_and_fuse(x_tokens: Tensor, mask: SelectionMask, text: Tensor,
-                        params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
-    """CrossAttn(text queries <- masked visual tokens) -> [B, Lt, d_model].
-
-    The keys/values come from `frame_keys`: the selected frames' patch
-    tokens for a hard or straight-through mask, every frame's tokens under
-    additive log-weights for a strictly relaxed one.
-    """
-    _, t, n, d = x_tokens.shape
-    if t != cfg.frames or n != cfg.patches or d != cfg.d_model:
-        raise ValueError(f"expected [B, {cfg.frames}, {cfg.patches}, {cfg.d_model}] tokens, got {x_tokens.shape}")
-    keys, key_mask = frame_keys(x_tokens, mask)
-    return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
-
-
-def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,
-                  params: FramePrompterParams, cfg: FramePrompterConfig,
+def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
                   mode: str, tau: float | None = None,
                   rng: np.random.Generator | None = None,
-                  noise: np.ndarray | None = None):
-    """End-to-end selection: returns (fused [B, Lt, d_model], SelectionMask).
+                  noise: np.ndarray | None = None) -> SelectionMask:
+    """Score the frames of [B, T, N, C] features and pick one per segment.
 
-    mode "train": relaxed Gumbel sample at `tau` (straight-through per
-    config); the guide reads the picked frames under straight-through and
-    every frame, soft-weighted, otherwise. mode "infer": deterministic
-    noiseless per-segment argmax, gather fusion; `tau` is unused.
+    mode "train": relaxed Gumbel sample at `tau`, straight-through per
+    config, so `mask.soft` carries the selector's gradient. mode "infer":
+    deterministic noiseless per-segment argmax, no `mask.soft`; `tau` is
+    unused. `frame_keys` turns either mask into the keys the student reads.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -255,10 +239,6 @@ def select_frames(video_features: Tensor, visual_tokens: Tensor, text: Tensor,
 
     logits = segment_logits(embedded, params, cfg)
     if mode == "train":
-        mask = gumbel_sample_soft(logits, tau, rng, cfg,
+        return gumbel_sample_soft(logits, tau, rng, cfg,
                                   straight_through=cfg.straight_through, noise=noise)
-    else:
-        mask = gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))
-
-    fused = apply_mask_and_fuse(visual_tokens, mask, text, params, cfg)
-    return fused, mask
+    return gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))

@@ -2,20 +2,21 @@
 student, plus the FC + LayerNorm decoder and the MSE loss that distill the
 all-frames teacher into the few-frames student.
 
-Learnable query tokens are prepended to the visual tokens, self-attention
-runs over the concatenation, and the post-self-attention query positions
-serve as keys/values for cross-attention with the question text. The output
-therefore always has one vector per text token, whatever the frame budget.
+Learnable query tokens are prepended to the visual tokens, one
+self-attention block runs over the concatenation, and the post-self-attention
+query positions serve as keys/values for cross-attention with the question
+text. The output therefore always has one vector per text token, whatever
+the frame budget.
 
-Only the query positions of the last self-attention block are ever read, so
-that block is computed for those rows alone: Q queries against all Q + Lv
-keys, O(Q * L) instead of O(L^2). At T=128 frames that is 8 of 520 rows.
-Visual tokens still receive gradient through the keys and values.
+Only the query positions of the self-attention block are ever read, so the
+block is computed for those rows alone: Q queries against all Q + Lv keys,
+O(Q * L) instead of O(L^2). At T=128 frames that is 8 of 520 rows. Visual
+tokens still receive gradient through the keys and values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +27,23 @@ from .tensor import Tensor
 
 @dataclass
 class QFormerParams:
-    """Learnable queries plus self/cross attention; depth self-attn blocks."""
+    """Learnable queries plus one self-attention and one cross-attention block."""
 
     query_tokens: Tensor          # [Q, d_model]
-    self_attn: list               # depth x AttentionParams
+    self_attn: nn.AttentionParams
     cross_attn: nn.AttentionParams
     frame_budget: int             # max frames this instance may consume
     patches: int                  # tokens per frame
 
     @classmethod
     def init(cls, d_model: int, num_queries: int, frame_budget: int, patches: int,
-             rng: np.random.Generator, num_heads: int = 1, depth: int = 1) -> "QFormerParams":
+             rng: np.random.Generator) -> "QFormerParams":
         if num_queries < 1:
             raise ValueError("need at least one query token")
-        if depth < 1:
-            raise ValueError(f"need at least one self-attention block, got depth={depth}")
         q = Tensor(rng.normal(size=(num_queries, d_model)), requires_grad=True)
-        self_blocks = [nn.AttentionParams.init(d_model, num_heads, rng) for _ in range(depth)]
-        cross = nn.AttentionParams.init(d_model, num_heads, rng)
-        return cls(query_tokens=q, self_attn=self_blocks, cross_attn=cross,
+        self_attn = nn.AttentionParams.init(d_model, rng)
+        cross = nn.AttentionParams.init(d_model, rng)
+        return cls(query_tokens=q, self_attn=self_attn, cross_attn=cross,
                    frame_budget=frame_budget, patches=patches)
 
     @property
@@ -53,8 +52,7 @@ class QFormerParams:
 
     def named(self, prefix: str) -> dict:
         out = {f"{prefix}.queries": self.query_tokens}
-        for i, block in enumerate(self.self_attn):
-            out.update(block.named(f"{prefix}.self{i}"))
+        out.update(self.self_attn.named(f"{prefix}.self"))
         out.update(self.cross_attn.named(f"{prefix}.cross"))
         return out
 
@@ -69,11 +67,11 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
     the per-row attendable count for exact 0/1 masks (straight-through);
     strictly relaxed masks are the budget's differentiable surrogate.
 
-    Every self-attention block but the last updates the whole sequence. The
-    last one computes only the query rows, as cross-attention from the query
-    positions to the full sequence: nothing reads its visual rows. This
-    equals full self-attention followed by `narrow` up to rounding (the BLAS
-    sums a row subset of a matmul in a different order).
+    The self-attention block computes only the query rows, as
+    cross-attention from the query positions to the full sequence: nothing
+    reads its visual rows. This equals full self-attention followed by
+    `narrow` up to rounding (the BLAS sums a row subset of a matmul in a
+    different order).
     """
     b, lv, d = visual_tokens.shape
     limit = params.frame_budget * params.patches
@@ -97,10 +95,7 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
     mask = None
     if visual_key_mask is not None:
         mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
-    *body, last = params.self_attn
-    for block in body:
-        seq = nn.self_attention(block, seq, key_mask=mask)
-    fused_queries = nn.cross_attention(last, T.narrow(seq, 1, 0, q), seq, key_mask=mask)
+    fused_queries = nn.cross_attention(params.self_attn, T.narrow(seq, 1, 0, q), seq, key_mask=mask)
     return nn.cross_attention(params.cross_attn, text_tokens, fused_queries)
 
 

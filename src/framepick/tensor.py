@@ -63,32 +63,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
 
 def _lift(x) -> Tensor:
@@ -158,34 +134,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _op(out_data, (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def bw(g):
-        _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _op(out_data, (a, b), bw)
-
-
-def exp(x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-
-    def bw(g):
-        _acc(x, g * out_data)
-
-    return _op(out_data, (x,), bw)
-
-
-def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
-
-    def bw(g):
-        _acc(x, g / x.data)
-
-    return _op(out_data, (x,), bw)
 
 
 def masked_log(m: Tensor, floor: float = -1e9) -> Tensor:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import prompter, qformer, surrogates, synth
+from . import nn, prompter, qformer, surrogates, synth
 from . import tensor as T
 from .prompter import FramePrompterConfig, FramePrompterParams, SelectionMask
 from .qformer import DistillDecoderParams, QFormerParams
@@ -32,13 +32,6 @@ from .tensor import Tensor, backward
 
 STAGE_TEACHER = "teacher"
 STAGE_STUDENT = "student"
-
-
-@dataclass
-class QFormerConfig:
-    num_queries: int = 8
-    num_heads: int = 1
-    depth: int = 1
 
 
 @dataclass
@@ -62,8 +55,8 @@ class TrainConfig:
     audit_frozen: bool = False    # verify frozen gradients every step
     max_text_len: int = 8
     vocab: int = 64
+    num_queries: int = 8          # learnable query tokens of each fusion model
     prompter_cfg: FramePrompterConfig = field(default_factory=FramePrompterConfig)
-    qformer_cfg: QFormerConfig = field(default_factory=QFormerConfig)
     data: synth.DatasetSpec = field(default_factory=synth.DatasetSpec)
 
     def __post_init__(self):
@@ -90,8 +83,6 @@ class TrainConfig:
         d = dict(d)
         if "prompter_cfg" in d and isinstance(d["prompter_cfg"], dict):
             d["prompter_cfg"] = FramePrompterConfig(**d["prompter_cfg"])
-        if "qformer_cfg" in d and isinstance(d["qformer_cfg"], dict):
-            d["qformer_cfg"] = QFormerConfig(**d["qformer_cfg"])
         if "data" in d and isinstance(d["data"], dict):
             d["data"] = synth.DatasetSpec(**d["data"])
         return cls(**d)
@@ -172,16 +163,14 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     rng_t = stream(10)
     teacher_proj = Tensor(rng_t.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
-    teacher_qf = QFormerParams.init(d, cfg.qformer_cfg.num_queries, data.frames, data.patches,
-                                    rng_t, num_heads=cfg.qformer_cfg.num_heads, depth=cfg.qformer_cfg.depth)
+    teacher_qf = QFormerParams.init(d, cfg.num_queries, data.frames, data.patches, rng_t)
     text_enc = SurrogateTextEncoder.init(cfg.vocab, d, cfg.max_text_len, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
     student_proj = Tensor(rng_s.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
-    student_qf = QFormerParams.init(d, cfg.qformer_cfg.num_queries, cfg.prompter_cfg.segments, data.patches,
-                                    rng_s, num_heads=cfg.qformer_cfg.num_heads, depth=cfg.qformer_cfg.depth)
+    student_qf = QFormerParams.init(d, cfg.num_queries, cfg.prompter_cfg.segments, data.patches, rng_s)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, stream(30))
                        if cfg.use_prompter else None)
@@ -244,25 +233,30 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     values there, and a strictly relaxed mask weights every frame. mode
     "infer", the deterministic evaluation path, gathers the argmax picks.
     With no selector configured, an evenly-spaced hard pick stands in and
-    is gathered in both modes.
+    is gathered in both modes. `frame_keys` runs once: the student fusion
+    and, with a selector, the guide attention read the same keys and key
+    mask, and the guide's output is added to the fusion output.
     """
-    pcfg = cfg.prompter_cfg
     b, t, _, _ = batch.raw.shape
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
     tokens4d = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
-    fused_guide = None
     if bundle.prompter_params is not None:
-        fused_guide, mask = prompter.select_frames(
-            feats, tokens4d, text, bundle.prompter_params, pcfg, mode, tau=tau, rng=rng)
+        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg, mode,
+                                      tau=tau, rng=rng)
     else:
-        mask = uniform_selection(t, pcfg.segments, b)
-
+        mask = uniform_selection(t, cfg.prompter_cfg.segments, b)
     vis, key_mask = prompter.frame_keys(tokens4d, mask)
     x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
 
-    answer_input = T.add(x_student, fused_guide) if fused_guide is not None else x_student
+    answer_input = x_student
+    if bundle.prompter_params is not None:
+        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_mask=key_mask)
+        # guide first, so backward sums the guide's key and value gradients
+        # at `vis` before adding the fusion's, as a separate gather per path
+        # would: the `student.proj` gradient is the same bitwise in every arm
+        answer_input = T.add(guide, x_student)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(answer_input, choices, bundle.answer)
     return logits, x_student, mask
@@ -443,8 +437,11 @@ def save_checkpoint(path, stage: str, step: int, tensors: dict, config_digest: s
 def load_checkpoint(path) -> Checkpoint:
     """Read a `save_checkpoint` file; ValueError naming `path` if it is corrupt.
 
-    The payload must hold exactly the float64 tensors the header declares:
-    a truncated file and trailing bytes are both rejected.
+    The header must hold every field `save_checkpoint` writes, and each
+    tensor's offset must be the one that layout gives it: the float64
+    payloads in sorted-name order, back to back. The payload must hold
+    exactly those bytes: a truncated file and trailing bytes are both
+    rejected.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -455,19 +452,32 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"{path} is not a recognized checkpoint")
         payload = fh.read()
-    counts = {name: int(np.prod(meta["shape"])) for name, meta in header["tensors"].items()}
-    expected = 8 * sum(counts.values())
-    if len(payload) != expected:
-        kind = "truncated" if len(payload) < expected else "has trailing bytes"
+    missing = [k for k in ("stage", "step", "config_digest", "rng_state", "tensors") if k not in header]
+    if missing or not isinstance(header["tensors"], dict):
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing) or 'a tensor table'}")
+    layout = []  # (name, shape, offset) in the order save_checkpoint writes them
+    offset = 0
+    for name in sorted(header["tensors"]):
+        meta = header["tensors"][name]
+        shape = meta.get("shape") if isinstance(meta, dict) else None
+        if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ValueError(f"{path}: tensor {name!r} has no valid shape")
+        if meta.get("offset") != offset:
+            raise ValueError(f"{path}: tensor {name!r} declares offset {meta.get('offset')}, "
+                             f"but the layout puts it at {offset}")
+        layout.append((name, tuple(shape), offset))
+        offset += 8 * math.prod(shape)
+    if len(payload) != offset:
+        kind = "truncated" if len(payload) < offset else "has trailing bytes"
         raise ValueError(f"{path}: checkpoint payload {kind}: {len(payload)} bytes, "
-                         f"header declares {expected}")
+                         f"header declares {offset}")
     tensors = {}
-    for name, meta in header["tensors"].items():
-        arr = np.frombuffer(payload, dtype="<f8", count=counts[name], offset=meta["offset"])
-        tensors[name] = arr.reshape(tuple(meta["shape"])).astype(np.float64)
+    for name, shape, at in layout:
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=at)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
     return Checkpoint(stage=header["stage"], step=header["step"],
                       config_digest=header["config_digest"],
-                      rng_state=header.get("rng_state"), tensors=tensors)
+                      rng_state=header["rng_state"], tensors=tensors)
 
 
 def bundle_state(bundle: ModelBundle) -> dict:

@@ -11,8 +11,8 @@ def rng():
     return np.random.default_rng(99)
 
 
-def make_attn(d=4, heads=1, rng=None):
-    return nn.AttentionParams.init(d, heads, rng or np.random.default_rng(0))
+def make_attn(d=4, rng=None):
+    return nn.AttentionParams.init(d, rng or np.random.default_rng(0))
 
 
 class TestCrossAttention:
@@ -35,7 +35,7 @@ class TestCrossAttention:
         assert np.allclose(weights.data, 0.2)
 
     def test_weight_rows_sum_to_one(self, rng):
-        params = make_attn(d=8, heads=2, rng=rng)
+        params = make_attn(d=8, rng=rng)
         _, weights = nn.cross_attention(params, Tensor(rng.normal(size=(2, 3, 8))),
                                         Tensor(rng.normal(size=(2, 5, 8))), return_weights=True)
         assert np.all(np.abs(weights.data.sum(axis=-1) - 1.0) <= 1e-12)
@@ -46,7 +46,7 @@ class TestCrossAttention:
         params = make_attn(d=4, rng=rng)
 
         def f(wq):
-            p = nn.AttentionParams(4, 1, wq, params.wk, params.wv, params.wo)
+            p = nn.AttentionParams(wq, params.wk, params.wv, params.wo)
             return T.sum_all(nn.cross_attention(p, Tensor(queries), Tensor(kv)))
 
         report = grad_check(f, Tensor(rng.normal(size=(4, 4))), tol=1e-5)
@@ -57,13 +57,13 @@ class TestCrossAttention:
         # raw value rows; the returned weights certify it exactly
         d = 4
         params = nn.AttentionParams(
-            d, 1,
             wq=Tensor(rng.normal(size=(d, d))), wk=Tensor(rng.normal(size=(d, d))),
             wv=Tensor(np.eye(d)), wo=Tensor(np.eye(d)))
         kv = rng.normal(size=(1, 6, d))
         out, weights = nn.cross_attention(params, Tensor(rng.normal(size=(1, 3, d))),
                                           Tensor(kv), return_weights=True)
-        w = weights.data[0, 0]
+        w = weights.data[0]
+        assert weights.shape == (1, 3, 6)
         assert np.all(w >= 0) and np.allclose(w.sum(axis=-1), 1.0)
         assert np.allclose(out.data[0], w @ kv[0], atol=1e-12)
 
@@ -120,7 +120,7 @@ class TestSelfAttention:
         assert np.allclose(out.data[0, 0], expected)
 
     def test_permutation_equivariance(self, rng):
-        params = make_attn(d=4, heads=2, rng=rng)
+        params = make_attn(d=4, rng=rng)
         tokens = rng.normal(size=(1, 5, 4))
         perm = np.array([3, 0, 4, 1, 2])
         out = nn.self_attention(params, Tensor(tokens))
@@ -132,7 +132,7 @@ class TestSelfAttention:
         params = make_attn(d=4, rng=rng)
 
         def f(wk):
-            p = nn.AttentionParams(4, 1, params.wq, wk, params.wv, params.wo)
+            p = nn.AttentionParams(params.wq, wk, params.wv, params.wo)
             return T.sum_all(nn.self_attention(p, Tensor(tokens)))
 
         assert grad_check(f, Tensor(rng.normal(size=(4, 4))), tol=1e-5).passed

@@ -6,7 +6,7 @@ import pytest
 from framepick import nn, prompter
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
-                                apply_mask_and_fuse, gumbel_sample_hard, gumbel_sample_soft,
+                                frame_keys, gumbel_sample_hard, gumbel_sample_soft,
                                 pool_and_embed, segment_logits, select_frames, tau_schedule)
 from framepick.tensor import Tensor, backward, grad_check
 
@@ -213,14 +213,30 @@ class TestTauSchedule:
             tau_schedule(0, 0, small_cfg())
 
 
+def guide_fuse(x_tokens, mask, text, params):
+    """The guide path of `trainer.student_forward`: the mask's keys, then
+    the text-queried guide attention over them."""
+    keys, key_mask = frame_keys(x_tokens, mask)
+    return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
+
+
+def select_and_guide(x, tokens, text, params, cfg, mode, **kw):
+    """`select_frames`, then the guide over its picks: (fused, mask)."""
+    mask = select_frames(x, params, cfg, mode, **kw)
+    return guide_fuse(tokens, mask, text, params), mask
+
+
 class TestApplyMaskAndFuse:
+    """The selection mask applied as keys (`frame_keys`) and fused with the
+    text by the guide attention."""
+
     def test_full_mask_matches_unmasked_attention(self, cfg, params, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         full = SelectionMask(hard=np.ones((1, cfg.frames)),
                              selected=[list(range(cfg.frames))],
                              soft=Tensor(np.ones((1, cfg.frames))))
-        fused = apply_mask_and_fuse(tokens, full, text, params, cfg)
+        fused = guide_fuse(tokens, full, text, params)
         b, t, n, d = tokens.shape
         plain = nn.cross_attention(params.guide_attn, text, T.reshape(tokens, (b, t * n, d)))
         assert np.array_equal(fused.data, plain.data)
@@ -231,11 +247,11 @@ class TestApplyMaskAndFuse:
         hard = np.zeros((1, cfg.frames))
         hard[0, 3] = 1.0
         mask = SelectionMask(hard=hard, selected=[[3]], soft=Tensor(hard))
-        out = apply_mask_and_fuse(Tensor(tokens), mask, text, params, cfg)
+        out = guide_fuse(Tensor(tokens), mask, text, params)
         perturbed = tokens.copy()
         perturbed[0, 0] += 50.0
         perturbed[0, 6] -= 9.0
-        out2 = apply_mask_and_fuse(Tensor(perturbed), mask, text, params, cfg)
+        out2 = guide_fuse(Tensor(perturbed), mask, text, params)
         assert np.array_equal(out.data, out2.data)
 
     def test_soft_vs_hard_agree_at_low_temperature(self, cfg, params, rng):
@@ -248,8 +264,8 @@ class TestApplyMaskAndFuse:
         # not exactly 0/1, so the soft mask keeps every frame and is compared
         # against the gather of the hard picks
         assert not np.all((soft_mask.soft.data == 0.0) | (soft_mask.soft.data == 1.0))
-        soft_out = apply_mask_and_fuse(tokens, soft_mask, text, params, cfg)
-        hard_out = apply_mask_and_fuse(tokens, hard_mask, text, params, cfg)
+        soft_out = guide_fuse(tokens, soft_mask, text, params)
+        hard_out = guide_fuse(tokens, hard_mask, text, params)
         assert np.all(np.abs(soft_out.data - hard_out.data) < 1e-4)
 
     def test_empty_selection_rejected(self, cfg, params, rng):
@@ -257,7 +273,7 @@ class TestApplyMaskAndFuse:
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         empty = SelectionMask(hard=np.zeros((1, cfg.frames)), selected=[[]])
         with pytest.raises(ValueError, match="no attendable keys"):
-            apply_mask_and_fuse(tokens, empty, text, params, cfg)
+            guide_fuse(tokens, empty, text, params)
 
 
 class TestSelectFrames:
@@ -265,8 +281,8 @@ class TestSelectFrames:
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
         tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        a_out, a_mask = select_frames(x, tokens, text, params, cfg, "infer")
-        b_out, b_mask = select_frames(x, tokens, text, params, cfg, "infer")
+        a_out, a_mask = select_and_guide(x, tokens, text, params, cfg, "infer")
+        b_out, b_mask = select_and_guide(x, tokens, text, params, cfg, "infer")
         assert np.array_equal(a_out.data, b_out.data)
         assert a_mask.selected == b_mask.selected
 
@@ -275,9 +291,7 @@ class TestSelectFrames:
                                   d_model=8, embed_hidden=6)
         params = FramePrompterParams.init(cfg, rng)
         x = Tensor(rng.normal(size=(2, 32, 4, 3)))
-        tokens = Tensor(rng.normal(size=(2, 32, 4, 8)))
-        text = Tensor(rng.normal(size=(2, 2, 8)))
-        _, mask = select_frames(x, tokens, text, params, cfg, "infer")
+        mask = select_frames(x, params, cfg, "infer")
         for row in mask.selected:
             assert len(row) == 4
             for s, idx in enumerate(row):
@@ -285,9 +299,7 @@ class TestSelectFrames:
 
     def test_train_mode_straight_through_hard_row_sums(self, cfg, params, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
-        tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
-        text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        _, mask = select_frames(x, tokens, text, params, cfg, "train", tau=0.5, rng=rng)
+        mask = select_frames(x, params, cfg, "train", tau=0.5, rng=rng)
         assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments] * 2)
         assert np.array_equal(mask.soft.data, mask.hard)  # straight-through
 
@@ -309,8 +321,8 @@ class TestSelectFrames:
                 embed=params.embed,
                 select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]),
                 guide_attn=params.guide_attn)
-            fused, _ = select_frames(Tensor(x), Tensor(tokens), Tensor(text), p, cfg,
-                                     "train", tau=0.5, noise=noise)
+            fused, _ = select_and_guide(Tensor(x), Tensor(tokens), Tensor(text), p, cfg,
+                                        "train", tau=0.5, noise=noise)
             return T.sum_all(T.matmul(fused, Tensor(proj)))
 
         report = grad_check(f, Tensor(head_w.data.copy()), eps=1e-5, tol=1e-4)

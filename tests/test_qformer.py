@@ -13,8 +13,8 @@ def rng():
     return np.random.default_rng(21)
 
 
-def make_qf(d=4, q=2, budget=4, patches=2, rng=None, heads=1):
-    return QFormerParams.init(d, q, budget, patches, rng or np.random.default_rng(5), num_heads=heads)
+def make_qf(d=4, q=2, budget=4, patches=2, rng=None):
+    return QFormerParams.init(d, q, budget, patches, rng or np.random.default_rng(5))
 
 
 class TestQFormerForward:
@@ -26,7 +26,7 @@ class TestQFormerForward:
         text = rng.normal(size=(1, 1, d))
         out = qformer_forward(params, Tensor(vis), Tensor(text))
 
-        sa = params.self_attn[0]
+        sa = params.self_attn
         qtok = params.query_tokens.data[0]
         # self-attention over [q, visual]: softmax over two keys
         seq = np.stack([qtok, vis[0, 0]])
@@ -97,15 +97,14 @@ class TestQFormerForward:
 
 
 def full_rows_forward(params, vis, text, visual_key_mask=None):
-    """Reference fusion: every self-attention block over every row, then narrow."""
+    """Reference fusion: self-attention over every row, then narrow."""
     b, _, d = vis.shape
     q = params.num_queries
     seq = T.concat([T.broadcast_to(T.reshape(params.query_tokens, (1, q, d)), (b, q, d)), vis], axis=1)
     mask = None
     if visual_key_mask is not None:
         mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
-    for block in params.self_attn:
-        seq = nn.self_attention(block, seq, key_mask=mask)
+    seq = nn.self_attention(params.self_attn, seq, key_mask=mask)
     return nn.cross_attention(params.cross_attn, text, T.narrow(seq, 1, 0, q))
 
 
@@ -115,8 +114,9 @@ def assert_close(actual, expected, rel=1e-12):
 
 
 class TestLastBlockQueryRows:
-    """qformer_forward computes only the query rows of the last block; it must
-    equal the full-rows reference in outputs and in every gradient."""
+    """qformer_forward computes only the query rows of its self-attention
+    block; it must equal the full-rows reference in outputs and in every
+    gradient."""
 
     B, FRAMES, PATCHES, D, Q = 2, 4, 3, 8, 3
 
@@ -141,12 +141,10 @@ class TestLastBlockQueryRows:
             grads["mask"] = mask_t.grad
         return out.data, grads
 
-    @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("mask_kind", ["none", "hard", "relaxed"])
-    def test_matches_full_rows_reference(self, depth, mask_kind):
-        rng = np.random.default_rng(40 + depth)
-        params = QFormerParams.init(self.D, self.Q, self.FRAMES, self.PATCHES, rng,
-                                    num_heads=2, depth=depth)
+    def test_matches_full_rows_reference(self, mask_kind):
+        rng = np.random.default_rng(41)
+        params = QFormerParams.init(self.D, self.Q, self.FRAMES, self.PATCHES, rng)
         vis = rng.normal(size=(self.B, self.FRAMES * self.PATCHES, self.D))
         text = rng.normal(size=(self.B, 4, self.D))
         readout = rng.normal(size=(self.B, 4, self.D))
@@ -170,10 +168,6 @@ class TestLastBlockQueryRows:
         with pytest.raises(ValueError, match="budget"):
             qformer_forward(params, Tensor(rng.normal(size=(1, lv, self.D))),
                             Tensor(rng.normal(size=(1, 2, self.D))), visual_key_mask=mask)
-
-    def test_depth_below_one_rejected(self, rng):
-        with pytest.raises(ValueError, match="depth"):
-            QFormerParams.init(4, 2, 2, 2, rng, depth=0)
 
 
 class TestDistillDecoder:

