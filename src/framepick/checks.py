@@ -93,7 +93,7 @@ def run_prompter_suite(seed: int = 0, tau: float = 0.5, tol: float = 1e-4, insta
 
         def scalar_through(p):
             # the guide reads the picked keys as `trainer.student_forward` does
-            mask = prompter.select_frames(Tensor(x), p, cfg, "train", tau=tau, noise=noise)
+            mask = prompter.select_frames(Tensor(x), p, cfg, tau=tau, noise=noise)
             keys, key_mask = prompter.frame_keys(Tensor(tokens), mask)
             fused = nn.cross_attention(p.guide_attn, Tensor(text), keys, key_mask=key_mask)
             return T.sum_all(T.matmul(fused, Tensor(readout)))

@@ -2,9 +2,11 @@
 
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
 vector, score the frames of each of S contiguous temporal segments, and
-draw one frame per segment with Gumbel noise (`select_frames`). The student
-forward gathers the picks once (`frame_keys`) and fuses them with the
-question text through `guide_attn` and through the student fusion.
+pick one frame per segment (`select_frames`, through `sample_frames`, the
+one selection estimator). This module builds every `SelectionMask`, also
+the no-selector arms' fixed pick (`uniform_mask`). The student forward
+gathers the picks once (`frame_keys`) and fuses them with the question
+text through `guide_attn` and through the student fusion.
 
 Selection is trained through the Gumbel-Softmax relaxation; the straight-
 through variant keeps the hard one-hot mask in the forward pass while
@@ -84,12 +86,13 @@ class FramePrompterParams:
 
 @dataclass
 class SelectionMask:
-    """One sampled (or argmax) frame selection for a batch.
+    """One frame selection for a batch, built by `sample_frames` or
+    `uniform_mask` (tests build masks by hand).
 
     hard: [B, T] 0/1 array with one 1 per segment, segment-major, so
     reshaping it to [B, S, T/S] gives each segment's one-hot; selected:
     per-row sorted frame indices, S each; soft: the differentiable [B, T]
-    mask when a relaxed sample exists (values equal `hard` bitwise under
+    mask of a relaxed sample, else None (values equal `hard` bitwise under
     straight-through, and `frame_keys` then gathers the selected frames).
     """
 
@@ -114,71 +117,53 @@ def segment_logits(embedded: Tensor, params: FramePrompterParams, cfg: FrameProm
     return nn.mlp_apply(params.select_head, chunks)
 
 
-def _gumbel(rng: np.random.Generator, shape, noise: np.ndarray | None) -> np.ndarray:
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != tuple(shape):
-            raise ValueError(f"noise shape {noise.shape} != logits shape {tuple(shape)}")
-        return noise
-    if rng is None:
-        raise ValueError("rng is required when no noise override is given")
-    return rng.gumbel(size=shape)
+def _mask(pick: np.ndarray, cfg: FramePrompterConfig) -> SelectionMask:
+    """Per-segment offsets [B, S] -> the segment-major [B, T] one-hot and
+    the frame indices, which increase across segments."""
+    b = pick.shape[0]
+    hard = np.zeros((b, cfg.segments, cfg.frames_per_segment))
+    np.put_along_axis(hard, pick[..., None], 1.0, axis=-1)
+    indices = pick + np.arange(cfg.segments) * cfg.frames_per_segment
+    return SelectionMask(hard=hard.reshape(b, cfg.frames), selected=indices.tolist())
 
 
-def _assemble_segmented(one_hot_seg: np.ndarray, cfg: FramePrompterConfig):
-    """Per-segment one-hot [B, S, T/S] -> flat hard mask [B, T] + indices."""
-    b = one_hot_seg.shape[0]
-    hard = one_hot_seg.reshape(b, cfg.frames)
-    pick = one_hot_seg.argmax(axis=2)  # [B, S]
-    offsets = np.arange(cfg.segments) * cfg.frames_per_segment
-    indices = pick + offsets  # strictly increasing across segments
-    selected = [sorted(int(i) for i in row) for row in indices]
-    return hard, selected
+def uniform_mask(b: int, cfg: FramePrompterConfig) -> SelectionMask:
+    """The fixed pick of the no-selector arms: each segment's middle frame,
+    `synth.uniform_frame_indices(T, S)` in every row."""
+    return _mask(np.full((b, cfg.segments), cfg.frames_per_segment // 2), cfg)
 
 
-def gumbel_sample_hard(logits: Tensor, rng: np.random.Generator | None,
-                       cfg: FramePrompterConfig, noise: np.ndarray | None = None) -> SelectionMask:
-    """One hard frame per segment via Gumbel-max over log softmax(logits).
+def sample_frames(logits: Tensor, cfg: FramePrompterConfig, tau: float | None = None,
+                  rng: np.random.Generator | None = None,
+                  noise: np.ndarray | None = None) -> SelectionMask:
+    """One frame per segment from [B, S, T/S] logits: the argmax of
+    z = log softmax(logits) + g.
 
-    Pass `noise=0` arrays to get the plain per-segment argmax (the inference
-    path). Ties break toward the lowest index.
+    With `tau`, g is Gumbel noise (`noise`, else drawn from `rng`), and
+    `soft` is softmax(z / tau) flattened to [B, T]; under
+    `cfg.straight_through` it is hard + (soft - stop_gradient(soft)), equal
+    to `hard` bitwise in the forward pass. Without `tau`, g = 0 on detached
+    logits and there is no `soft`: the inference pick. Ties break low.
     """
-    data = logits.data
-    if not np.all(np.isfinite(data)):
-        raise ValueError("gumbel_sample_hard requires finite logits")
-    g = _gumbel(rng, data.shape, noise)
-    shifted = data - data.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    z = logp + g
-    pick = z.argmax(axis=-1)
-    one_hot = np.zeros_like(data)
-    np.put_along_axis(one_hot, pick[..., None], 1.0, axis=-1)
-    hard, selected = _assemble_segmented(one_hot, cfg)
-    return SelectionMask(hard=hard, selected=selected)
-
-
-def gumbel_sample_soft(logits: Tensor, tau: float, rng: np.random.Generator | None,
-                       cfg: FramePrompterConfig, straight_through: bool = True,
-                       noise: np.ndarray | None = None) -> SelectionMask:
-    """Relaxed per-segment selection: softmax((log p + g) / tau), flattened
-    to the [B, T] `soft` mask.
-
-    With straight_through, `soft` is hard + (relaxed - stop_gradient(relaxed)):
-    its forward values equal the hard one-hot from the same noise draw
-    bitwise, while gradients flow through the relaxed weights.
-    """
+    if not np.all(np.isfinite(logits.data)):
+        raise ValueError("sample_frames requires finite logits")
+    if tau is None:
+        return _mask(T.log_softmax(logits.detach(), axis=-1).data.argmax(axis=-1), cfg)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    g = _gumbel(rng, logits.shape, noise)
-    hard_mask = gumbel_sample_hard(logits.detach(), None, cfg, noise=g)
-
-    logp = T.log_softmax(logits, axis=-1)
-    z = T.add(logp, Tensor(g)) * (1.0 / tau)
-    soft_seg = T.softmax(z, axis=-1)  # [B, S, T/S]
-    soft = T.reshape(soft_seg, (logits.shape[0], cfg.frames))
-    if straight_through:
-        soft = T.add(Tensor(hard_mask.hard), T.sub(soft, soft.detach()))
-    return SelectionMask(hard=hard_mask.hard, selected=hard_mask.selected, soft=soft)
+    if noise is None:
+        if rng is None:
+            raise ValueError("rng is required when no noise override is given")
+        noise = rng.gumbel(size=logits.shape)
+    if np.shape(noise) != logits.shape:
+        raise ValueError(f"noise shape {np.shape(noise)} != logits shape {logits.shape}")
+    z = T.add(T.log_softmax(logits, axis=-1), Tensor(noise))
+    mask = _mask(z.data.argmax(axis=-1), cfg)
+    soft = T.reshape(T.softmax(z * (1.0 / tau), axis=-1), (logits.shape[0], cfg.frames))
+    if cfg.straight_through:
+        soft = T.add(Tensor(mask.hard), T.sub(soft, soft.detach()))
+    mask.soft = soft
+    return mask
 
 
 def tau_schedule(step: int, total_steps: int, cfg: FramePrompterConfig) -> float:
@@ -221,24 +206,12 @@ def frame_keys(x_tokens: Tensor, mask: SelectionMask):
 
 
 def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
-                  mode: str, tau: float | None = None,
-                  rng: np.random.Generator | None = None,
+                  tau: float | None = None, rng: np.random.Generator | None = None,
                   noise: np.ndarray | None = None) -> SelectionMask:
-    """Score the frames of [B, T, N, C] features and pick one per segment.
-
-    mode "train": relaxed Gumbel sample at `tau`, straight-through per
-    config, so `mask.soft` carries the selector's gradient. mode "infer":
-    deterministic noiseless per-segment argmax, no `mask.soft`; `tau` is
-    unused. `frame_keys` turns either mask into the keys the student reads.
+    """Score the frames of [B, T, N, C] features and pick one per segment
+    with `sample_frames`: a relaxed Gumbel sample, straight-through per
+    config, when `tau` is given (training), else the noiseless argmax
+    (inference). `frame_keys` turns either mask into the student's keys.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    embedded = pool_and_embed(video_features, params, cfg)
-    if mode == "train" and tau is None:
-        raise ValueError("train mode requires tau")
-
-    logits = segment_logits(embedded, params, cfg)
-    if mode == "train":
-        return gumbel_sample_soft(logits, tau, rng, cfg,
-                                  straight_through=cfg.straight_through, noise=noise)
-    return gumbel_sample_hard(logits.detach(), None, cfg, noise=np.zeros(logits.shape))
+    logits = segment_logits(pool_and_embed(video_features, params, cfg), params, cfg)
+    return sample_frames(logits, cfg, tau=tau, rng=rng, noise=noise)

@@ -18,14 +18,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import nn, prompter, qformer, surrogates, synth
 from . import tensor as T
-from .prompter import FramePrompterConfig, FramePrompterParams, SelectionMask
+from .prompter import FramePrompterConfig, FramePrompterParams
 from .qformer import DistillDecoderParams, QFormerParams
 from .surrogates import AnswerHead, SurrogateTextEncoder, SurrogateVisualEncoder
 from .tensor import Tensor, backward
@@ -80,12 +80,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Rebuild a config from `asdict` output; unknown fields raise ValueError."""
+        def build(kind, values, level):
+            unknown = sorted(set(values) - {f.name for f in fields(kind)})
+            if unknown:
+                raise ValueError(f"unknown config field(s) in {level}: {', '.join(unknown)}")
+            return kind(**values)
+
         d = dict(d)
-        if "prompter_cfg" in d and isinstance(d["prompter_cfg"], dict):
-            d["prompter_cfg"] = FramePrompterConfig(**d["prompter_cfg"])
-        if "data" in d and isinstance(d["data"], dict):
-            d["data"] = synth.DatasetSpec(**d["data"])
-        return cls(**d)
+        for key, kind in (("prompter_cfg", FramePrompterConfig), ("data", synth.DatasetSpec)):
+            if isinstance(d.get(key), dict):
+                d[key] = build(kind, d[key], f"TrainConfig.{key}")
+        return build(cls, d, "TrainConfig")
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -216,37 +222,32 @@ def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     return logits, fused
 
 
-def uniform_selection(t: int, s: int, b: int) -> SelectionMask:
-    """The fixed evenly-spaced pick the no-selector arms fall back to."""
-    picks = list(synth.uniform_frame_indices(t, s))
-    hard = np.zeros((b, t))
-    hard[:, picks] = 1.0
-    return SelectionMask(hard=hard, selected=[picks] * b)
-
-
 def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: str,
                     tau: float | None = None, rng: np.random.Generator | None = None):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    mode "train" draws a relaxed mask; under straight-through (the default)
-    the student reads only the picked frames, keyed by the soft mask's
-    values there, and a strictly relaxed mask weights every frame. mode
-    "infer", the deterministic evaluation path, gathers the argmax picks.
-    With no selector configured, an evenly-spaced hard pick stands in and
-    is gathered in both modes. `frame_keys` runs once: the student fusion
-    and, with a selector, the guide attention read the same keys and key
-    mask, and the guide's output is added to the fusion output.
+    mode "train" (needs `tau`) draws a relaxed mask; under straight-through
+    (the default) the student reads only the picked frames, keyed by the
+    soft mask's values there, and a strictly relaxed mask weights every
+    frame. mode "infer", the deterministic evaluation path, gathers the
+    argmax picks. With no selector, `prompter.uniform_mask` stands in, in
+    both modes. `frame_keys` runs once: the student fusion and, with a
+    selector, the guide attention read the same keys and key mask, and the
+    guide's output is added to the fusion output.
     """
-    b, t, _, _ = batch.raw.shape
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and tau is None:
+        raise ValueError("train mode requires tau")
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
     tokens4d = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
     if bundle.prompter_params is not None:
-        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg, mode,
-                                      tau=tau, rng=rng)
+        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
+                                      tau=tau if mode == "train" else None, rng=rng)
     else:
-        mask = uniform_selection(t, cfg.prompter_cfg.segments, b)
+        mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
     vis, key_mask = prompter.frame_keys(tokens4d, mask)
     x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
 
@@ -485,11 +486,14 @@ def bundle_state(bundle: ModelBundle) -> dict:
 
 
 def load_into_bundle(bundle: ModelBundle, tensors: dict, prefixes=None) -> None:
-    for name, p in bundle.named_params().items():
-        if prefixes is not None and not name.startswith(tuple(prefixes)):
-            continue
-        if name not in tensors:
-            raise KeyError(f"checkpoint is missing parameter {name!r}")
+    """Copy checkpoint tensors into the bundle's parameters (those under `prefixes`)."""
+    named = {name: p for name, p in bundle.named_params().items()
+             if prefixes is None or name.startswith(tuple(prefixes))}
+    missing = sorted(set(named) - set(tensors))
+    if missing:
+        raise ValueError(f"checkpoint is missing {len(missing)} parameter(s) of this model, "
+                         f"so it holds another parameter layout: {', '.join(missing)}")
+    for name, p in named.items():
         if tuple(tensors[name].shape) != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}")
         p.data = tensors[name].copy()

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from framepick import nn, prompter
+from framepick import nn, prompter, synth
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
-                                frame_keys, gumbel_sample_hard, gumbel_sample_soft,
-                                pool_and_embed, segment_logits, select_frames, tau_schedule)
+                                frame_keys, pool_and_embed, sample_frames, segment_logits,
+                                select_frames, tau_schedule, uniform_mask)
 from framepick.tensor import Tensor, backward, grad_check
 
 
@@ -30,6 +31,15 @@ def cfg():
 @pytest.fixture
 def params(cfg, rng):
     return FramePrompterParams.init(cfg, rng)
+
+
+def relaxed(cfg):
+    return replace(cfg, straight_through=False)
+
+
+def hard_pick(logits, cfg, noise):
+    """The Gumbel-max pick under `noise`; it does not depend on tau."""
+    return sample_frames(logits, cfg, tau=1.0, noise=noise)
 
 
 class TestConfig:
@@ -106,7 +116,7 @@ class TestSegmentLogits:
 class TestGumbelHard:
     def test_zero_noise_reduces_to_argmax(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        mask = gumbel_sample_hard(logits, None, cfg, noise=np.zeros(logits.shape))
+        mask = hard_pick(logits, cfg, np.zeros(logits.shape))
         expect = logits.data.argmax(axis=-1)
         got = mask.hard.reshape(logits.shape).argmax(axis=-1)
         assert np.array_equal(expect, got)
@@ -120,20 +130,20 @@ class TestGumbelHard:
         rng = np.random.default_rng(0)
         draws = 100_000
         logits = Tensor(np.tile(np.log(probs), (draws, 1, 1)))
-        mask = gumbel_sample_hard(logits, rng, cfg)
+        mask = sample_frames(logits, cfg, tau=1.0, rng=rng)
         freqs = mask.hard.reshape(logits.shape).mean(axis=0).ravel()
         assert np.all(np.abs(freqs - probs) <= 0.01), freqs
 
     def test_shift_invariance_of_selection(self, cfg, rng):
         logits = rng.normal(size=(2, cfg.segments, cfg.frames_per_segment))
         noise = rng.gumbel(size=logits.shape)
-        a = gumbel_sample_hard(Tensor(logits), None, cfg, noise=noise)
-        b = gumbel_sample_hard(Tensor(logits + 11.25), None, cfg, noise=noise)
+        a = hard_pick(Tensor(logits), cfg, noise)
+        b = hard_pick(Tensor(logits + 11.25), cfg, noise)
         assert a.selected == b.selected
 
     def test_indices_strictly_increasing(self, cfg, rng):
         logits = Tensor(rng.normal(size=(4, cfg.segments, cfg.frames_per_segment)))
-        mask = gumbel_sample_hard(logits, rng, cfg)
+        mask = sample_frames(logits, cfg, tau=1.0, rng=rng)
         for row in mask.selected:
             assert all(a < b for a, b in zip(row, row[1:]))
 
@@ -142,20 +152,20 @@ class TestGumbelSoft:
     def test_low_temperature_approaches_one_hot(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)) * 3)
         noise = rng.gumbel(size=logits.shape)
-        mask = gumbel_sample_soft(logits, 0.01, None, cfg, straight_through=False, noise=noise)
-        hard = gumbel_sample_hard(logits, None, cfg, noise=noise)
+        mask = sample_frames(logits, relaxed(cfg), tau=0.01, noise=noise)
+        hard = hard_pick(logits, cfg, noise)
         assert np.all(np.abs(mask.soft.data - hard.hard) < 1e-6)
 
     def test_high_temperature_approaches_uniform(self, cfg, rng):
         logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
-        mask = gumbel_sample_soft(logits, 1e7, rng, cfg, straight_through=False)
+        mask = sample_frames(logits, relaxed(cfg), tau=1e7, rng=rng)
         assert np.allclose(mask.soft.data, 1.0 / cfg.frames_per_segment, atol=1e-6)
 
     def test_straight_through_forward_equals_hard_bitwise(self, cfg, rng):
         logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
         noise = rng.gumbel(size=logits.shape)
-        st = gumbel_sample_soft(logits, 0.7, None, cfg, straight_through=True, noise=noise)
-        hard = gumbel_sample_hard(logits.detach(), None, cfg, noise=noise)
+        st = sample_frames(logits, cfg, tau=0.7, noise=noise)
+        hard = hard_pick(logits.detach(), cfg, noise)
         assert np.array_equal(st.soft.data, hard.hard)
         assert st.selected == hard.selected
 
@@ -166,23 +176,23 @@ class TestGumbelSoft:
         w = rng.normal(size=(1, cfg.frames))
 
         def soft_scalar(logits):
-            mask = gumbel_sample_soft(logits, 0.7, None, cfg, straight_through=False, noise=noise)
+            mask = sample_frames(logits, relaxed(cfg), tau=0.7, noise=noise)
             return T.sum_all(T.mul(mask.soft, Tensor(w)))
 
         x = rng.normal(size=(1, cfg.segments, cfg.frames_per_segment))
         assert grad_check(soft_scalar, Tensor(x), tol=1e-4).passed
 
         st_in = Tensor(x, requires_grad=True)
-        st_mask = gumbel_sample_soft(st_in, 0.7, None, cfg, straight_through=True, noise=noise)
+        st_mask = sample_frames(st_in, cfg, tau=0.7, noise=noise)
         backward(T.sum_all(T.mul(st_mask.soft, Tensor(w))))
         soft_in = Tensor(x, requires_grad=True)
-        soft_mask = gumbel_sample_soft(soft_in, 0.7, None, cfg, straight_through=False, noise=noise)
+        soft_mask = sample_frames(soft_in, relaxed(cfg), tau=0.7, noise=noise)
         backward(T.sum_all(T.mul(soft_mask.soft, Tensor(w))))
         assert np.allclose(st_in.grad, soft_in.grad, atol=1e-12)
 
     def test_per_segment_rows_sum_to_one(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        mask = gumbel_sample_soft(logits, 0.5, rng, cfg, straight_through=False)
+        mask = sample_frames(logits, relaxed(cfg), tau=0.5, rng=rng)
         assert np.all(np.abs(mask.soft.data.reshape(logits.shape).sum(axis=-1) - 1.0) <= 1e-9)
 
     def test_monotone_sharpening(self, cfg, rng):
@@ -190,15 +200,57 @@ class TestGumbelSoft:
         for _ in range(20):
             logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
             noise = rng.gumbel(size=logits.shape)
-            lo = gumbel_sample_soft(logits, 0.3, None, cfg, straight_through=False, noise=noise)
-            hi = gumbel_sample_soft(logits, 1.7, None, cfg, straight_through=False, noise=noise)
+            lo = sample_frames(logits, relaxed(cfg), tau=0.3, noise=noise)
+            hi = sample_frames(logits, relaxed(cfg), tau=1.7, noise=noise)
             lo_seg, hi_seg = lo.soft.data.reshape(logits.shape), hi.soft.data.reshape(logits.shape)
             assert np.all(lo_seg.max(axis=-1) >= hi_seg.max(axis=-1) - 1e-12)
 
     def test_nonpositive_tau_rejected(self, cfg, rng):
         logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
         with pytest.raises(ValueError):
-            gumbel_sample_soft(logits, 0.0, rng, cfg)
+            sample_frames(logits, cfg, tau=0.0, rng=rng)
+        with pytest.raises(ValueError, match="tau must be positive, got -0.5"):
+            sample_frames(logits, cfg, tau=-0.5, rng=rng)
+
+
+class TestSampleFramesInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    def test_non_finite_logits_rejected(self, cfg, rng, bad, tau):
+        data = rng.normal(size=(2, cfg.segments, cfg.frames_per_segment))
+        data[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite logits"):
+            sample_frames(Tensor(data), cfg, tau=tau, rng=rng)
+
+    def test_rng_or_noise_required(self, cfg, rng):
+        logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
+        with pytest.raises(ValueError, match="rng is required"):
+            sample_frames(logits, cfg, tau=0.5)
+
+    def test_noise_shape_must_match_logits(self, cfg, rng):
+        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
+        with pytest.raises(ValueError, match="noise shape"):
+            sample_frames(logits, cfg, tau=0.5, noise=np.zeros((1, cfg.segments, cfg.frames_per_segment)))
+
+    def test_inference_pick_is_the_zero_noise_pick(self, cfg, rng):
+        logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
+        mask = sample_frames(logits, cfg)
+        zero = hard_pick(logits, cfg, np.zeros(logits.shape))
+        assert mask.soft is None
+        assert np.array_equal(mask.hard, zero.hard) and mask.selected == zero.selected
+
+
+class TestUniformMask:
+    @pytest.mark.parametrize("t, s", [(8, 4), (12, 4), (15, 5), (32, 4), (128, 4), (8, 8)])
+    def test_matches_uniform_frame_indices(self, t, s):
+        cfg = small_cfg(frames=t, segments=s)
+        mask = uniform_mask(3, cfg)
+        picks = list(synth.uniform_frame_indices(t, s))
+        assert mask.selected == [picks] * 3
+        assert mask.soft is None
+        expect = np.zeros((3, t))
+        expect[:, picks] = 1.0
+        assert np.array_equal(mask.hard, expect)
 
 
 class TestTauSchedule:
@@ -220,9 +272,9 @@ def guide_fuse(x_tokens, mask, text, params):
     return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
 
 
-def select_and_guide(x, tokens, text, params, cfg, mode, **kw):
+def select_and_guide(x, tokens, text, params, cfg, **kw):
     """`select_frames`, then the guide over its picks: (fused, mask)."""
-    mask = select_frames(x, params, cfg, mode, **kw)
+    mask = select_frames(x, params, cfg, **kw)
     return guide_fuse(tokens, mask, text, params), mask
 
 
@@ -259,8 +311,8 @@ class TestApplyMaskAndFuse:
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         noise = rng.gumbel(size=logits.shape)
-        soft_mask = gumbel_sample_soft(logits, 0.01, None, cfg, straight_through=False, noise=noise)
-        hard_mask = gumbel_sample_hard(logits, None, cfg, noise=noise)
+        soft_mask = sample_frames(logits, relaxed(cfg), tau=0.01, noise=noise)
+        hard_mask = hard_pick(logits, cfg, noise)
         # not exactly 0/1, so the soft mask keeps every frame and is compared
         # against the gather of the hard picks
         assert not np.all((soft_mask.soft.data == 0.0) | (soft_mask.soft.data == 1.0))
@@ -281,8 +333,8 @@ class TestSelectFrames:
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
         tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        a_out, a_mask = select_and_guide(x, tokens, text, params, cfg, "infer")
-        b_out, b_mask = select_and_guide(x, tokens, text, params, cfg, "infer")
+        a_out, a_mask = select_and_guide(x, tokens, text, params, cfg)
+        b_out, b_mask = select_and_guide(x, tokens, text, params, cfg)
         assert np.array_equal(a_out.data, b_out.data)
         assert a_mask.selected == b_mask.selected
 
@@ -291,7 +343,7 @@ class TestSelectFrames:
                                   d_model=8, embed_hidden=6)
         params = FramePrompterParams.init(cfg, rng)
         x = Tensor(rng.normal(size=(2, 32, 4, 3)))
-        mask = select_frames(x, params, cfg, "infer")
+        mask = select_frames(x, params, cfg)
         for row in mask.selected:
             assert len(row) == 4
             for s, idx in enumerate(row):
@@ -299,7 +351,7 @@ class TestSelectFrames:
 
     def test_train_mode_straight_through_hard_row_sums(self, cfg, params, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
-        mask = select_frames(x, params, cfg, "train", tau=0.5, rng=rng)
+        mask = select_frames(x, params, cfg, tau=0.5, rng=rng)
         assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments] * 2)
         assert np.array_equal(mask.soft.data, mask.hard)  # straight-through
 
@@ -322,7 +374,7 @@ class TestSelectFrames:
                 select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]),
                 guide_attn=params.guide_attn)
             fused, _ = select_and_guide(Tensor(x), Tensor(tokens), Tensor(text), p, cfg,
-                                        "train", tau=0.5, noise=noise)
+                                        tau=0.5, noise=noise)
             return T.sum_all(T.matmul(fused, Tensor(proj)))
 
         report = grad_check(f, Tensor(head_w.data.copy()), eps=1e-5, tol=1e-4)

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +299,51 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="at least one sample"):
             trainer.evaluate(trainer.build_models(cfg), cfg, [], trainer.STAGE_STUDENT)
 
+    # fields of earlier layouts: the Q-Former config, the selector's head count
+    # and the keyframe placement
+    @pytest.mark.parametrize("level, edit", [
+        ("TrainConfig", lambda d: d.update(qformer_cfg={"num_queries": 8})),
+        ("TrainConfig.prompter_cfg", lambda d: d["prompter_cfg"].update(num_heads=1)),
+        ("TrainConfig.data", lambda d: d["data"].update(placement="segment")),
+    ], ids=["top", "prompter_cfg", "data"])
+    def test_from_dict_names_unknown_fields(self, level, edit):
+        d = json.loads(tiny_config().to_json())
+        edit(d)
+        with pytest.raises(ValueError, match=rf"unknown config field\(s\) in {level}: "
+                                             r"(num_heads|placement|qformer_cfg)$"):
+            trainer.TrainConfig.from_dict(d)
+
+
+class TestStudentForwardMode:
+    @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
+    @pytest.mark.parametrize("mode, tau, message", [
+        ("bogus", 0.5, "mode must be 'train' or 'infer', got 'bogus'"),
+        ("train", None, "train mode requires tau"),
+    ], ids=["unknown_mode", "train_without_tau"])
+    def test_rejected(self, use_prompter, mode, tau, message):
+        cfg = tiny_config(use_prompter=use_prompter)
+        train, _ = synth.generate(cfg.data)
+        with pytest.raises(ValueError, match=message):
+            trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:1]), cfg, mode,
+                                    tau=tau, rng=np.random.default_rng(0))
+
+
+class TestLoadIntoBundle:
+    def test_lists_every_missing_parameter(self):
+        cfg = tiny_config()
+        state = trainer.bundle_state(trainer.build_models(cfg))
+        # the parameter names before the Q-Former's self-attention was renamed
+        old = {name.replace(".qf.self.", ".qf.self0."): arr for name, arr in state.items()}
+        missing = sorted(set(state) - set(old))
+        assert len(missing) == 8
+        with pytest.raises(ValueError, match="another parameter layout") as err:
+            trainer.load_into_bundle(trainer.build_models(cfg), old)
+        assert str(err.value).endswith(": " + ", ".join(missing))
+        teacher_side = [name for name in missing if name.startswith("teacher.")]
+        with pytest.raises(ValueError) as err:
+            trainer.load_into_bundle(trainer.build_models(cfg), old, prefixes=("teacher.",))
+        assert str(err.value).endswith(": " + ", ".join(teacher_side))
+
 
 class TestCosineLr:
     def test_endpoints_exact(self):
@@ -457,7 +505,8 @@ class TestGatherMatchesAllFrames:
         pcfg = prompter.FramePrompterConfig(frames=8, segments=4, patches=2, d_model=3)
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-        mask = prompter.gumbel_sample_soft(logits, 0.5, rng, pcfg, straight_through=straight_through)
+        mask = prompter.sample_frames(logits, replace(pcfg, straight_through=straight_through),
+                                      tau=0.5, rng=rng)
         x_tokens = Tensor(rng.normal(size=(2, 8, 2, 3)))
         keys, key_mask = prompter.frame_keys(x_tokens, mask)
         if straight_through:
@@ -471,3 +520,29 @@ class TestGatherMatchesAllFrames:
             assert np.array_equal(key_mask.data, np.repeat(mask.soft.data, 2, axis=1))
         backward(T.sum_all(T.mul(key_mask, Tensor(rng.normal(size=key_mask.shape)))))
         assert np.any(logits.grad != 0.0)
+
+
+def load_spans():
+    """The benchmark's span tracer, loaded from its file as the benchmark runs it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    # Tracer() looks up every spanned name, so a renamed function fails here
+    cfg = tiny_config()
+    bundle = trainer.build_models(cfg)
+    batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        trainer.student_forward(bundle, batch, cfg, "infer")
+        trainer.teacher_forward(bundle, batch, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["qformer_calls"] == 2
+    assert tracer.counts["student_fuse_calls"] == 1
+    assert tracer.counts["picks"] == cfg.prompter_cfg.segments
