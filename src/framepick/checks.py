@@ -86,16 +86,17 @@ def run_prompter_suite(seed: int = 0, tau: float = 0.5, tol: float = 1e-4, insta
     for i in range(instances):
         params = prompter.FramePrompterParams.init(cfg, rng)
         x = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels))
-        tokens = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model))
+        proj = rng.normal(size=(cfg.channels, cfg.d_model))
         text = rng.normal(size=(1, 2, cfg.d_model))
         noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
         readout = rng.normal(size=(cfg.d_model, 1))
 
         def scalar_through(p):
-            # the guide reads the picked keys as `trainer.student_forward` does
+            # the guide reads the projected keys as `trainer.student_forward` does
             mask = prompter.select_frames(Tensor(x), p, cfg, tau=tau, noise=noise)
-            keys, key_mask = prompter.frame_keys(Tensor(tokens), mask)
-            fused = nn.cross_attention(p.guide_attn, Tensor(text), keys, key_mask=key_mask)
+            keys, key_mask = prompter.frame_keys(Tensor(x), mask)
+            fused = nn.cross_attention(p.guide_attn, Tensor(text), T.matmul(keys, Tensor(proj)),
+                                       key_mask=key_mask)
             return T.sum_all(T.matmul(fused, Tensor(readout)))
 
         def f_head(w):

@@ -4,9 +4,11 @@ Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
 vector, score the frames of each of S contiguous temporal segments, and
 pick one frame per segment (`select_frames`, through `sample_frames`, the
 one selection estimator). This module builds every `SelectionMask`, also
-the no-selector arms' fixed pick (`uniform_mask`). The student forward
-gathers the picks once (`frame_keys`) and fuses them with the question
-text through `guide_attn` and through the student fusion.
+the no-selector arms' fixed pick (`uniform_mask`). `frame_keys` turns a
+mask and per-frame features of any width into [B, L, width] keys. The
+student forward calls it once, on the frozen visual features, projects
+only the keys it returns, and fuses them with the question text through
+`guide_attn` and through the student fusion.
 
 Selection is trained through the Gumbel-Softmax relaxation; the straight-
 through variant keeps the hard one-hot mask in the forward pass while
@@ -182,7 +184,8 @@ def _per_token(weights: Tensor, n: int) -> Tensor:
 
 
 def frame_keys(x_tokens: Tensor, mask: SelectionMask):
-    """[B, T, N, d] frame tokens -> (keys [B, L, d], per-token key mask [B, L] or None).
+    """[B, T, N, width] per-frame tokens or features of any width ->
+    (keys [B, L, width], per-token key mask [B, L] or None).
 
     The path follows from the mask. A hard pick (no `mask.soft`) or a soft
     mask equal to `mask.hard` bitwise (a straight-through sample) gathers
@@ -194,14 +197,14 @@ def frame_keys(x_tokens: Tensor, mask: SelectionMask):
     relaxed mask keeps every frame as a key, weighted by `mask.soft`,
     L = T * N.
     """
-    b, t, n, d = x_tokens.shape
+    b, t, n, width = x_tokens.shape
     soft = mask.soft
     if soft is not None and not np.array_equal(soft.data, mask.hard):
-        return T.reshape(x_tokens, (b, t * n, d)), _per_token(soft, n)
+        return T.reshape(x_tokens, (b, t * n, width)), _per_token(soft, n)
     if not all(mask.selected):
         raise ValueError("no attendable keys: a batch row selected zero frames")
     idx = np.array(mask.selected)
-    keys = T.reshape(T.gather_frames(x_tokens, idx), (b, idx.shape[1] * n, d))
+    keys = T.reshape(T.gather_frames(x_tokens, idx), (b, idx.shape[1] * n, width))
     return keys, None if soft is None else _per_token(T.gather_frames(soft, idx), n)
 
 

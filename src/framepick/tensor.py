@@ -397,9 +397,11 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Visits each recorded node exactly once in reverse topological order,
-    sums gradients where a tensor feeds several consumers, then frees the
-    graph; a second call on the same loss raises.
+    Visits each recorded node exactly once in reverse topological order and
+    sums gradients where a tensor feeds several consumers. Each node lets go
+    of its inputs, closure and gradient as soon as its own backward has run,
+    so a step's buffers are freed while later ones are still to be
+    allocated; a second call on the same loss raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -423,12 +425,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()   # reverse topological order; drops the list's reference
         if node._bw is not None:
             node._bw(node.grad)
-
-    for node in topo:
-        if node._bw is not None:
             node._bw = None
             node._parents = ()
             if node is not loss:

@@ -231,16 +231,19 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     soft mask's values there, and a strictly relaxed mask weights every
     frame. mode "infer", the deterministic evaluation path, gathers the
     argmax picks. With no selector, `prompter.uniform_mask` stands in, in
-    both modes. `frame_keys` runs once: the student fusion and, with a
-    selector, the guide attention read the same keys and key mask, and the
-    guide's output is added to the fusion output.
+    both modes. `frame_keys` runs once, on the frozen C-wide features, and
+    only the keys it returns are projected to d_model (S * N per video, or
+    T * N for a strictly relaxed mask): the projection is per token and the
+    features take no gradient, so this equals projecting every frame and
+    then gathering. The student fusion and, with a selector, the guide
+    attention read the same projected keys and key mask, and the guide's
+    output is added to the fusion output.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and tau is None:
         raise ValueError("train mode requires tau")
-    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
-    tokens4d = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
+    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)  # [B, T, N, C]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
     if bundle.prompter_params is not None:
@@ -248,15 +251,17 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
                                       tau=tau if mode == "train" else None, rng=rng)
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
-    vis, key_mask = prompter.frame_keys(tokens4d, mask)
+    keys, key_mask = prompter.frame_keys(feats, mask)
+    vis = T.matmul(keys, bundle.student_proj)  # [B, L, d]
     x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
 
     answer_input = x_student
     if bundle.prompter_params is not None:
         guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_mask=key_mask)
         # guide first, so backward sums the guide's key and value gradients
-        # at `vis` before adding the fusion's, as a separate gather per path
-        # would: the `student.proj` gradient is the same bitwise in every arm
+        # at `vis` before adding the fusion's; `student.proj` then takes one
+        # product of the keys with that sum. The pinned student digests
+        # depend on this order.
         answer_input = T.add(guide, x_student)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(answer_input, choices, bundle.answer)
@@ -707,6 +712,8 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     """
     if not samples:
         raise ValueError("evaluate needs at least one sample")
+    if batch_size < 1:
+        raise ValueError(f"evaluate needs batch_size >= 1, got {batch_size}")
     t0 = time.perf_counter()
     correct = 0
     losses = []

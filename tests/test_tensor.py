@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +276,25 @@ class TestBackward:
         assert frozen.grad is None
         assert live.grad is not None
         assert len(products) == 1  # no product for the frozen operand's gradient
+
+    def test_intermediates_freed_during_backward(self):
+        # a node's buffers go as soon as its backward has run, not when the
+        # whole pass ends, so a training step's peak stays low
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        freed = []
+
+        def first_bw(g):   # x's only consumer, so it runs last
+            freed.append(inner_data() is None)
+            x.grad = g
+
+        first = T._op(x.data * 1.0, (x,), first_bw)
+        inner = T.mul(first, first)   # after this, only the graph holds it
+        inner_data = weakref.ref(inner.data)
+        loss = T.sum_all(T.mul(inner, Tensor(np.full(3, 2.0))))
+        del inner
+        backward(loss)
+        assert freed == [True]
+        assert np.array_equal(x.grad, 4.0 * x.data)
 
 
 class TestShapeOps:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framepick import prompter, synth, trainer
+from framepick import nn, prompter, qformer, surrogates, synth, trainer
 from framepick import tensor as T
 from framepick.tensor import Tensor, backward
 
@@ -145,9 +145,9 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
         "student/student.ckpt":
-            "6c1536e14d408048903a899bf85d53893996ef07ec3299909caf05d1c21fd872",
+            "c40b70fee2cb5d978b51bdee70dc590c6c00049ded1bf562e5de2db3174fbbf8",
         "student/student_step2.ckpt":
-            "5aa822daee0941966d8bb6c71912b1ee3aaf2e63cd3180a1d37acc814062fe21",
+            "6340e7d72ed3343f556fd228cc437205dae8df1442b93b20498811a1113bc862",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
@@ -157,11 +157,11 @@ STAGE_DIGESTS = {
     },
     "uniform_picks": {
         "student/metrics.csv":
-            "db165110203ba9b7e0ea1752fd02c295321ad36cff4410e0e4ed9b2ada0a8385",
+            "5f88a8bab04f38b62f9613e57e887350bfc1dbe8d3429232d4051486a61c015a",
         "student/student.ckpt":
-            "73ab74aec842f29d6836b9b83f109a49441b41334c84d81460a5b2627b1f73ca",
+            "3903290d00054b490e86444e6c8619acc582e59f2e781e24339e7e7f7bb85078",
         "student/student_step2.ckpt":
-            "c2af586cf8fe8d82a46d1ea201c89e3b707b8834d6f3b3361bfc1d935d4d007d",
+            "d23db0348e53214497d18ce2842136563b2e816ccf6c374aae5c8a21ec3ffbee",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
@@ -171,11 +171,11 @@ STAGE_DIGESTS = {
     },
     "no_distill": {
         "student/metrics.csv":
-            "6ed625121cb40580722947b00d60fd705956525d0eef8caa73dc90612a546417",
+            "5606aeb606b35d5c87d7503e9eecdb3bc05f44c71c7badeffeda750355a4ecc6",
         "student/student.ckpt":
-            "853ab15c50393ae749691027b03addc5bdc1db39abbf24cf7b534e4787fbd394",
+            "45b22729b4dc7820e344ddb9c44c6ecc673c9f2d14bac8f7687883902ecb5388",
         "student/student_step2.ckpt":
-            "9dd5beee6ec445ca94bd08cc15ec8eb6ce3c7cb21eff26e46414a3ad2b0128ba",
+            "e1994a0098e59cc73a03f267e88a947ab11075a227c85fdf08d8833a481c1ba5",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
@@ -298,6 +298,14 @@ class TestTrainConfig:
         cfg = tiny_config()
         with pytest.raises(ValueError, match="at least one sample"):
             trainer.evaluate(trainer.build_models(cfg), cfg, [], trainer.STAGE_STUDENT)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluate_rejects_bad_batch_size(self, batch_size):
+        cfg = tiny_config()
+        _, val = synth.generate(cfg.data)
+        with pytest.raises(ValueError, match=rf"batch_size >= 1, got {batch_size}$"):
+            trainer.evaluate(trainer.build_models(cfg), cfg, val, trainer.STAGE_STUDENT,
+                             batch_size=batch_size)
 
     # fields of earlier layouts: the Q-Former config, the selector's head count
     # and the keyframe placement
@@ -453,7 +461,13 @@ def mismatched_gradients(cfg, monkeypatch, frame_keys):
         with monkeypatch.context() as patch:
             patch.setattr(prompter, "frame_keys", keys_fn)
             results.append(student_loss_and_grads(cfg))
-    (loss, grads), (ref_loss, ref_grads) = results
+    return mismatched_names(*results)
+
+
+def mismatched_names(result, reference):
+    """Asserts the losses agree to 1e-12; returns the names whose gradient
+    differs from the reference's by more than 1e-12 of its largest magnitude."""
+    (loss, grads), (ref_loss, ref_grads) = result, reference
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     return sorted(name for name, ref in ref_grads.items()
                   if np.abs(grads[name] - ref).max() > 1e-12 * np.abs(ref).max())
@@ -520,6 +534,90 @@ class TestGatherMatchesAllFrames:
             assert np.array_equal(key_mask.data, np.repeat(mask.soft.data, 2, axis=1))
         backward(T.sum_all(T.mul(key_mask, Tensor(rng.normal(size=key_mask.shape)))))
         assert np.any(logits.grad != 0.0)
+
+
+def project_then_gather_forward(bundle, batch, cfg, mode, tau=None, rng=None):
+    """Reference student forward in the earlier order: project every frame's
+    features to d_model, then gather the keys from the projected tokens."""
+    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
+    tokens = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
+    text = surrogates.encode_text(batch.questions, bundle.text_enc)
+    if bundle.prompter_params is not None:
+        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
+                                      tau=tau if mode == "train" else None, rng=rng)
+    else:
+        mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
+    vis, key_mask = prompter.frame_keys(tokens, mask)
+    x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
+    answer_input = x_student
+    if bundle.prompter_params is not None:
+        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_mask=key_mask)
+        answer_input = T.add(guide, x_student)
+    choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
+    return surrogates.score_answers(answer_input, choices, bundle.answer), x_student, mask
+
+
+def with_selection(cfg, selection):
+    """`cfg` with a straight-through or strictly relaxed selector, or none."""
+    if selection == "uniform":
+        return replace(cfg, use_prompter=False)
+    return replace(cfg, prompter_cfg=replace(cfg.prompter_cfg,
+                                             straight_through=selection == "straight_through"))
+
+
+class TestProjectAfterGather:
+    """The student projects only the keys `frame_keys` returns; that order
+    matches projecting every frame and then gathering."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
+    @pytest.mark.parametrize("selection", ["straight_through", "relaxed", "uniform"])
+    def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill, selection):
+        cfg = with_selection(GEOMETRIES[geometry](lambda_distill=lambda_distill), selection)
+        result = student_loss_and_grads(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "student_forward", project_then_gather_forward)
+            reference = student_loss_and_grads(cfg)
+        assert mismatched_names(result, reference) == []
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
+    def test_infer_matches_bitwise(self, geometry, use_prompter):
+        cfg = GEOMETRIES[geometry](use_prompter=use_prompter)
+        bundle = trainer.build_models(cfg)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:8])
+        logits, _, mask = trainer.student_forward(bundle, batch, cfg, "infer")
+        ref_logits, _, ref_mask = project_then_gather_forward(bundle, batch, cfg, "infer")
+        assert np.array_equal(logits.data, ref_logits.data)
+        assert mask.selected == ref_mask.selected
+
+    @pytest.mark.parametrize("mode, selection", [
+        ("infer", "straight_through"),
+        ("train", "straight_through"),
+        ("train", "relaxed"),
+    ], ids=["infer", "train_straight_through", "train_relaxed"])
+    def test_projection_rows(self, monkeypatch, mode, selection):
+        # the student projection reads B*S*N rows unless the mask is strictly relaxed
+        cfg = with_selection(tiny_config(), selection)
+        bundle = trainer.build_models(cfg)
+        b = 2
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:b])
+        rows = []
+        matmul = T.matmul
+
+        def counting_matmul(a, w):
+            if w is bundle.student_proj:
+                rows.append(int(np.prod(a.shape[:-1])))
+            return matmul(a, w)
+
+        monkeypatch.setattr(T, "matmul", counting_matmul)
+        if mode == "train":
+            trainer.student_loss(bundle, batch, cfg, 1, np.random.default_rng(0))
+        else:
+            trainer.student_forward(bundle, batch, cfg, mode)
+        pcfg = cfg.prompter_cfg
+        frames = pcfg.frames if selection == "relaxed" else pcfg.segments
+        assert rows == [b * frames * pcfg.patches]
 
 
 def load_spans():
