@@ -2,11 +2,15 @@
 
 Each suite returns a list of GradCheckReport from `tensor.grad_check`, which
 compares the analytic gradient with central differences at every coordinate
-of the checked tensor. `run_scope` runs one suite by
-its `SCOPES` name, and tests/test_checks.py runs every scope through it; the
-package has no command-line entry point yet. Sample points are jittered
-away from non-smooth loci (relu kinks, argmax ties), and relu at exactly 0
-is excluded by construction rather than special-cased.
+of the checked tensor. `run_scope` runs one suite by its `SCOPES` name
+(three: "ops", "qformer", "end2end"), and tests/test_checks.py runs every
+scope through it; the package has no command-line entry point yet. Every
+suite runs the model's own code: "ops" each `tensor` primitive, "qformer"
+`qformer_forward`, and "end2end" the student stage's training loss
+(`trainer.student_loss`), which is the one path through the frame
+selector. Sample points are jittered away from non-smooth loci (relu kinks,
+argmax ties), and relu at exactly 0 is excluded by construction rather
+than special-cased.
 """
 
 from __future__ import annotations
@@ -77,59 +81,6 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
     return reports
 
 
-def run_prompter_suite(seed: int = 0, tau: float = 0.5, tol: float = 1e-4, instances: int = 3):
-    """Composed relaxed selection path, finite-differenced end to end."""
-    rng = np.random.default_rng(seed)
-    cfg = prompter.FramePrompterConfig(frames=8, segments=4, patches=3, channels=3,
-                                       d_model=8, embed_hidden=6, straight_through=False)
-    reports = []
-    for i in range(instances):
-        params = prompter.FramePrompterParams.init(cfg, rng)
-        x = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels))
-        proj = rng.normal(size=(cfg.channels, cfg.d_model))
-        text = rng.normal(size=(1, 2, cfg.d_model))
-        noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
-        readout = rng.normal(size=(cfg.d_model, 1))
-
-        def scalar_through(p):
-            # the guide reads the projected keys as `trainer.student_forward` does
-            mask = prompter.select_frames(Tensor(x), p, cfg, tau=tau, noise=noise)
-            keys, key_mask = prompter.frame_keys(Tensor(x), mask)
-            fused = nn.cross_attention(p.guide_attn, Tensor(text), T.matmul(keys, Tensor(proj)),
-                                       key_mask=key_mask)
-            return T.sum_all(T.matmul(fused, Tensor(readout)))
-
-        def f_head(w):
-            p = prompter.FramePrompterParams(
-                embed=params.embed,
-                select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]),
-                guide_attn=params.guide_attn)
-            return scalar_through(p)
-
-        def f_embed(w):
-            steps = list(params.embed.steps)
-            steps[0] = ("fc", w, None)
-            p = prompter.FramePrompterParams(embed=nn.MlpParams(steps),
-                                             select_head=params.select_head,
-                                             guide_attn=params.guide_attn)
-            return scalar_through(p)
-
-        def f_guide(wq):
-            guide = nn.AttentionParams(wq, params.guide_attn.wk, params.guide_attn.wv,
-                                       params.guide_attn.wo)
-            p = prompter.FramePrompterParams(embed=params.embed,
-                                             select_head=params.select_head, guide_attn=guide)
-            return scalar_through(p)
-
-        reports.append(grad_check(f_head, Tensor(params.select_head.steps[0][1].data.copy()),
-                                  eps=1e-5, tol=tol, name=f"prompter.select_head[{i}]"))
-        reports.append(grad_check(f_embed, Tensor(params.embed.steps[0][1].data.copy()),
-                                  eps=1e-5, tol=tol, name=f"prompter.embed[{i}]"))
-        reports.append(grad_check(f_guide, Tensor(params.guide_attn.wq.data.copy()),
-                                  eps=1e-5, tol=tol, name=f"prompter.guide_wq[{i}]"))
-    return reports
-
-
 def run_qformer_suite(seed: int = 0, tol: float = 1e-5, instances: int = 3):
     """Fusion stack gradients on a two-frame toy."""
     rng = np.random.default_rng(seed)
@@ -153,24 +104,19 @@ def run_qformer_suite(seed: int = 0, tol: float = 1e-5, instances: int = 3):
                                        params.cross_attn.wo)
             return out_scalar(qformer.QFormerParams(params.query_tokens, params.self_attn, cross, 2, 2))
 
-        def f_decoder(w):
-            dec = qformer.DistillDecoderParams(
-                decoder=nn.MlpParams([("fc", w, None), nn.ln_step(d)]))
-            target = Tensor(np.zeros((1, 2, d)))
-            return qformer.distill_loss(dec, Tensor(vis[:, :2]), target)
-
         reports.append(grad_check(f_queries, Tensor(params.query_tokens.data.copy()),
                                   tol=tol, name=f"qformer.queries[{i}]"))
         reports.append(grad_check(f_cross_wq, Tensor(params.cross_attn.wq.data.copy()),
                                   tol=tol, name=f"qformer.cross_wq[{i}]"))
-        reports.append(grad_check(f_decoder, Tensor(rng.normal(size=(d, d))),
-                                  tol=tol, name=f"qformer.decoder_fc[{i}]"))
     return reports
 
 
 def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     """The stage-2 training loss (`trainer.student_loss`) on a 2-sample batch,
-    over every coordinate of four student-side parameters.
+    over every coordinate of six student-side parameters: the first fc
+    weights of the selector's head and frame embedding, the guide
+    attention's query weight, the student queries, the first fc weight of
+    the distillation decoder and the student projection.
 
     Uses the relaxed (non straight-through) path so the loss is smooth in
     every checked parameter. Each evaluation draws its Gumbel noise from a
@@ -197,8 +143,11 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
             mlp.steps[0] = ("fc", x, mlp.steps[0][2])
         return mlp.steps[0][1], put
 
+    guide = bundle.prompter_params.guide_attn
     targets = {
         "select_head": first_fc_weight(bundle.prompter_params.select_head),
+        "embed": first_fc_weight(bundle.prompter_params.embed),
+        "guide_wq": (guide.wq, lambda x: setattr(guide, "wq", x)),
         "student_queries": (bundle.student_qf.query_tokens,
                             lambda x: setattr(bundle.student_qf, "query_tokens", x)),
         "decoder_fc": first_fc_weight(bundle.decoder.decoder),
@@ -218,7 +167,6 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
 
 SCOPES = {
     "ops": run_ops_suite,
-    "prompter": run_prompter_suite,
     "qformer": run_qformer_suite,
     "end2end": run_end2end_suite,
 }

@@ -42,6 +42,9 @@ class FramePrompterConfig:
     embed_hidden: int = 32
 
     def __post_init__(self):
+        for name in ("patches", "channels", "d_model", "embed_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.segments <= self.frames:
             raise ValueError(f"need frames >= segments >= 1, got T={self.frames}, S={self.segments}")
         if self.frames % self.segments != 0:

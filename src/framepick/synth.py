@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# token layout inside the shared vocabulary
+# token layout inside the shared vocabulary of VOCAB ids
+VOCAB = 64
 TOK_ATTR_BASE = 10
 TOK_VALUE_BASE = 32
 
@@ -49,6 +50,15 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("frames", "patches", "raw_dim", "num_keyframes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.num_choices < 2:
+            raise ValueError(f"num_choices must be at least 2, got {self.num_choices}")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not 0 <= self.decoy_prob <= 1:
+            raise ValueError(f"decoy_prob must lie in [0, 1], got {self.decoy_prob}")
         if self.num_keyframes > self.frames:
             raise ValueError("K must not exceed T")
         if self.num_train < 1 or self.num_val < 1:
@@ -57,8 +67,8 @@ class DatasetSpec:
             raise ValueError("one keyframe per segment needs K to divide T")
         if self.num_attributes < self.num_keyframes:
             raise ValueError("need at least one attribute per keyframe (num_attributes >= K)")
-        if TOK_VALUE_BASE + self.num_choices > 64 or TOK_ATTR_BASE + self.num_attributes > TOK_VALUE_BASE:
-            raise ValueError("token layout overflows the 64-token vocabulary")
+        if TOK_VALUE_BASE + self.num_choices > VOCAB or TOK_ATTR_BASE + self.num_attributes > TOK_VALUE_BASE:
+            raise ValueError(f"token layout overflows the {VOCAB}-token vocabulary")
 
 
 @dataclass

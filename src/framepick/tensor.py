@@ -4,20 +4,15 @@ Every learnable operation in this repo goes through the ops defined here, so
 each analytic gradient can be checked against central finite differences
 (see `grad_check`). Graphs are recorded per forward pass as parent links plus
 backward closures and are freed after `backward` runs; there is no support
-for higher-order gradients.
+for higher-order gradients. Ops do not check their outputs for NaN or Inf;
+the callers that must not see them check at their boundary (the stage loop
+rejects a non-finite loss, AdamW a non-finite gradient and frame sampling
+non-finite logits).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_FINITE_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf assertions after every forward op (slow, test-only)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -75,8 +70,6 @@ def _lift(x) -> Tensor:
 
 def _op(data: np.ndarray, inputs, bw) -> Tensor:
     """Build an op output, recording parents/backward only on a grad path."""
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by a forward op")
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad:
         out._parents = tuple(t for t in inputs if t.requires_grad)

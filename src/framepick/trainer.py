@@ -40,21 +40,12 @@ class TrainConfig:
     teacher_steps: int = 700
     student_steps: int = 700
     batch_size: int = 8
-    lr: float = 3e-3
-    lr_min: float = 3e-4
-    weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 1.0
     lambda_distill: float = 1.0
     use_prompter: bool = True
     eval_every: int = 200
     eval_samples: int = 256
     checkpoint_every: int = 0     # 0: final checkpoint only
     audit_frozen: bool = False    # verify frozen gradients every step
-    max_text_len: int = 8
-    vocab: int = 64
     num_queries: int = 8          # learnable query tokens of each fusion model
     prompter_cfg: FramePrompterConfig = field(default_factory=FramePrompterConfig)
     data: synth.DatasetSpec = field(default_factory=synth.DatasetSpec)
@@ -133,10 +124,16 @@ TEACHER_GROUPS = ("teacher.", "text.", "answer.")
 STUDENT_GROUPS = ("student.", "prompter.", "decoder.")
 
 
+def _check_stage(stage: str) -> None:
+    if stage not in (STAGE_TEACHER, STAGE_STUDENT):
+        raise ValueError(f"unknown stage {stage!r}; choose {STAGE_TEACHER!r} or {STAGE_STUDENT!r}")
+
+
 def trainable_names(bundle: ModelBundle, stage: str) -> set:
     """The parameters a stage trains: its groups' names (`TEACHER_GROUPS` or
     `STUDENT_GROUPS`); the student stage keeps the text encoder and answer
-    head frozen."""
+    head frozen. An unknown stage raises ValueError."""
+    _check_stage(stage)
     groups = TEACHER_GROUPS if stage == STAGE_TEACHER else STUDENT_GROUPS
     return {name for name in bundle.named_params() if name.startswith(groups)}
 
@@ -150,6 +147,11 @@ def set_stage(bundle: ModelBundle, stage: str) -> dict:
         p.requires_grad = name in trainable
         p.grad = None
     return {name: named[name] for name in sorted(trainable)}
+
+
+# rows of the text encoder's positional table, so the longest token sequence
+# it embeds (synthetic questions and choices are one token long)
+TEXT_POSITIONS = 8
 
 
 def build_models(cfg: TrainConfig) -> ModelBundle:
@@ -170,7 +172,7 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     teacher_proj = Tensor(rng_t.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
     teacher_qf = QFormerParams.init(d, cfg.num_queries, data.frames, data.patches, rng_t)
-    text_enc = SurrogateTextEncoder.init(cfg.vocab, d, cfg.max_text_len, rng_t)
+    text_enc = SurrogateTextEncoder.init(synth.VOCAB, d, TEXT_POSITIONS, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
@@ -300,6 +302,17 @@ def clip_global_norm(params: dict, max_norm: float) -> tuple[float, float]:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm, scale
+
+
+# the optimizer settings of both stages: the learning rate anneals from LR
+# to LR_MIN on a cosine, after clipping the global gradient norm to GRAD_CLIP
+LR = 3e-3
+LR_MIN = 3e-4
+WEIGHT_DECAY = 1e-4
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0
 
 
 def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: float,
@@ -620,7 +633,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
     try:
         for step in range(start_step, steps):
             t0 = time.perf_counter()
-            lr = cosine_lr(step, steps, cfg.lr, cfg.lr_min)
+            lr = cosine_lr(step, steps, LR, LR_MIN)
             batch = _draw_batch(train_samples, cfg.batch_size, rng)
             loss, logits, fields = loss_fn(bundle, batch, cfg, step, rng)
             if not math.isfinite(loss.item()):
@@ -628,8 +641,8 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             backward(loss)
             if cfg.audit_frozen:
                 audit_frozen_gradients(bundle, stage)
-            clip_global_norm(params, cfg.grad_clip)
-            adamw_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+            clip_global_norm(params, GRAD_CLIP)
+            adamw_step(params, opt, lr, BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY)
             for p in params.values():
                 p.grad = None
             acc = float((logits.data.argmax(axis=1) == batch.answers).mean())
@@ -710,6 +723,7 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     evaluations report no selection metrics (not applicable), and no row
     reports a selection overlap or a temperature.
     """
+    _check_stage(stage)
     if not samples:
         raise ValueError("evaluate needs at least one sample")
     if batch_size < 1:

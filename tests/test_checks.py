@@ -35,3 +35,11 @@ def test_wrong_backward_is_reported(monkeypatch):
     assert failed == {"softmax"}
     # the composed fusion suite runs through attention and catches it too
     assert not all(r.passed for r in checks.run_scope("qformer"))
+
+
+def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):
+    # only the frame selector calls log_softmax, so only the selector's
+    # parameters see the fault: its head and its frame embedding
+    monkeypatch.setattr(T, "log_softmax", with_scaled_backward(T.log_softmax))
+    failed = {r.name for r in checks.run_scope("end2end") if not r.passed}
+    assert failed == {"end2end.select_head", "end2end.embed"}

@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(frames=10, segments=4)
 
+    @pytest.mark.parametrize("field", ["patches", "channels", "d_model", "embed_hidden"])
+    def test_zero_size_field_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            small_cfg(**{field: 0})
+
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
             small_cfg(tau_end=0.0)

@@ -29,6 +29,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(num_train=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_keyframes", 0, "num_keyframes must be at least 1, got 0"),
+        ("num_choices", 1, "num_choices must be at least 2, got 1"),
+        ("patches", 0, "patches must be at least 1, got 0"),
+        ("frames", 0, "frames must be at least 1, got 0"),
+        ("raw_dim", 0, "raw_dim must be at least 1, got 0"),
+        ("noise_std", -0.1, r"noise_std must be nonnegative, got -0.1"),
+        ("decoy_prob", 1.5, r"decoy_prob must lie in \[0, 1\], got 1.5"),
+        ("decoy_prob", -0.5, r"decoy_prob must lie in \[0, 1\], got -0.5"),
+    ])
+    def test_out_of_range_field_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_spec(**{field: value})
+
     def test_k_must_divide_t(self):
         with pytest.raises(ValueError, match="K to divide T"):
             small_spec(frames=18)

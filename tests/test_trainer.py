@@ -145,43 +145,43 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
         "student/student.ckpt":
-            "c40b70fee2cb5d978b51bdee70dc590c6c00049ded1bf562e5de2db3174fbbf8",
+            "aa3dc146ee24d4a6f7e4127fff175c84b9cf1e3af08763ebe38c56992c97bd88",
         "student/student_step2.ckpt":
-            "6340e7d72ed3343f556fd228cc437205dae8df1442b93b20498811a1113bc862",
+            "0bffbb73f68b12f0f380ac627e5ef0b375db6bfe58ce4f77bd375160beafa0cb",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "20c7179e25ee7c008544ffb7c619e15e56e37fed0112ff8112f1d2e7fe11885d",
+            "cf40c4f148ec2b7245259c9d7db5107354525cbe05c8b225e31f5ebd3b20565f",
         "teacher/teacher_step2.ckpt":
-            "bbd60923f2d747fae72185828652e8e8533681837dd9a3a474de896c6bfc323e",
+            "76f0b050434c8ac727f31c7a96c154770529bad7bcbb647ea2a048e3536a4d2b",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "5f88a8bab04f38b62f9613e57e887350bfc1dbe8d3429232d4051486a61c015a",
         "student/student.ckpt":
-            "3903290d00054b490e86444e6c8619acc582e59f2e781e24339e7e7f7bb85078",
+            "4062699e61f2e1fbbaf5f8e1ec8c17067488d5af75ffd557152f0c2494454565",
         "student/student_step2.ckpt":
-            "d23db0348e53214497d18ce2842136563b2e816ccf6c374aae5c8a21ec3ffbee",
+            "f22f320f13a50a598bb2ee3aeeb6e0b3cf97518e86ac6ae49520fdd0352d90e0",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "0c93e636adadf09fb1e5aa784a3f2c317139750c36b9abfa2c097472307735ef",
+            "ad5939c09c9ca5d36c3958385f88eef7bdc89dc82cdb387269a2ada532298bba",
         "teacher/teacher_step2.ckpt":
-            "91899f7045e8caa5f7c218a74048c3987491e98cc2ea7f83632e3666f53def27",
+            "54bdbecaa7e9f4a0926e4fa05b8faf074bd694e7a2b926ac7a2a05c668224ce0",
     },
     "no_distill": {
         "student/metrics.csv":
             "5606aeb606b35d5c87d7503e9eecdb3bc05f44c71c7badeffeda750355a4ecc6",
         "student/student.ckpt":
-            "45b22729b4dc7820e344ddb9c44c6ecc673c9f2d14bac8f7687883902ecb5388",
+            "787a0cc2ea25db93627822d5bc96f3b7e66f9ac649586b40aa8d9c9cda6ea7db",
         "student/student_step2.ckpt":
-            "e1994a0098e59cc73a03f267e88a947ab11075a227c85fdf08d8833a481c1ba5",
+            "daa075d8b94f8e0e783d27258c96300f036b044cecbd1dca5314c2bf8a6931e3",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "0d93a1d29877f73819e81fe88e5ed011fa84315c05ffe11c04d1e1dabd6abc9d",
+            "60da0964d629a40f4dfd74ea1b8abb47ae66df83098c532cf4afd09c90a30b13",
         "teacher/teacher_step2.ckpt":
-            "4e4f403503f71f4cf90a22dee73b69efb75941e3c74550170d61a4bd30bb61c9",
+            "4dd4ddeb207f7dd509dd7eee8e0bcf553e6fa5c1f938677717c14729e04d10c6",
     },
 }
 
@@ -320,6 +320,35 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"unknown config field\(s\) in {level}: "
                                              r"(num_heads|placement|qformer_cfg)$"):
             trainer.TrainConfig.from_dict(d)
+
+    def test_from_dict_names_every_removed_field(self):
+        # the layout before the optimizer settings and the text sizes became
+        # module constants
+        d = json.loads(tiny_config().to_json())
+        d.update(lr=3e-3, lr_min=3e-4, weight_decay=1e-4, beta1=0.9, beta2=0.999,
+                 adam_eps=1e-8, grad_clip=1.0, max_text_len=8, vocab=64)
+        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: "
+                                             r"adam_eps, beta1, beta2, grad_clip, lr, lr_min, "
+                                             r"max_text_len, vocab, weight_decay$"):
+            trainer.TrainConfig.from_dict(d)
+
+
+class TestUnknownStage:
+    """A misspelt stage raises instead of running the student path."""
+
+    @pytest.mark.parametrize("call", [
+        lambda bundle, cfg, val, stage: trainer.trainable_names(bundle, stage),
+        lambda bundle, cfg, val, stage: trainer.set_stage(bundle, stage),
+        lambda bundle, cfg, val, stage: trainer.audit_frozen_gradients(bundle, stage),
+        lambda bundle, cfg, val, stage: trainer.evaluate(bundle, cfg, val, stage),
+    ], ids=["trainable_names", "set_stage", "audit_frozen_gradients", "evaluate"])
+    @pytest.mark.parametrize("stage", ["Teacher", "bogus"])
+    def test_rejected(self, call, stage):
+        cfg = tiny_config()
+        _, val = synth.generate(cfg.data)
+        with pytest.raises(ValueError, match=rf"unknown stage '{stage}'; "
+                                             r"choose 'teacher' or 'student'$"):
+            call(trainer.build_models(cfg), cfg, val, stage)
 
 
 class TestStudentForwardMode:
