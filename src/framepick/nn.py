@@ -3,9 +3,10 @@ query-token fusion models.
 
 Attention here is the bare single-head scaled-dot-product kind: no
 residuals, no feed-forward sublayers, no positional terms (callers inject
-positions as additive embeddings when they need them). Soft key masks enter
-the logits additively through `masked_log`, so a hard 0/1 mask removes keys
-exactly while a relaxed mask in (0, 1) keeps a well-defined gradient path.
+positions as additive embeddings when they need them). An optional per-key
+bias is added to the attention logits; a zero-valued bias that takes a
+gradient measures how much each key matters to a loss (the teacher's frame
+saliency in `trainer.teacher_targets`).
 """
 
 from __future__ import annotations
@@ -47,21 +48,18 @@ class AttentionParams:
 
 
 def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tensor,
-                    key_mask: Tensor | None = None, return_weights: bool = False):
-    """softmax(Q K^T / sqrt(d) + log mask) V, then Wo.
+                    key_bias: Tensor | None = None, return_weights: bool = False):
+    """softmax(Q K^T / sqrt(d) + key_bias) V, then Wo.
 
-    queries: [b, Lq, d]; keys_values: [b, Lk, d]; key_mask: optional [b, Lk]
-    with entries in [0, 1] (hard 0/1 masks remove keys exactly). With
-    `return_weights`, also returns the [b, Lq, Lk] attention weights.
+    queries: [b, Lq, d]; keys_values: [b, Lk, d]; key_bias: optional [b, Lk],
+    added to every query's logits. With `return_weights`, also returns the
+    [b, Lq, Lk] attention weights.
     """
     if queries.shape[-1] != params.d_model or keys_values.shape[-1] != params.d_model:
         raise ValueError(
             f"token width must equal d_model={params.d_model}, got {queries.shape[-1]} / {keys_values.shape[-1]}")
-    if key_mask is not None:
-        if key_mask.shape != keys_values.shape[:2]:
-            raise ValueError(f"key_mask shape {key_mask.shape} does not match keys {keys_values.shape[:2]}")
-        if np.any(key_mask.data.sum(axis=1) == 0.0):
-            raise ValueError("no attendable keys: a mask row is entirely zero")
+    if key_bias is not None and key_bias.shape != keys_values.shape[:2]:
+        raise ValueError(f"key_bias shape {key_bias.shape} does not match keys {keys_values.shape[:2]}")
 
     b, lk, d = keys_values.shape
     q = T.matmul(queries, params.wq)
@@ -69,8 +67,8 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
     v = T.matmul(keys_values, params.wv)
 
     logits = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(d))
-    if key_mask is not None:
-        logits = T.add(logits, T.reshape(T.masked_log(key_mask), (b, 1, lk)))
+    if key_bias is not None:
+        logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
     weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]
     out = T.matmul(T.matmul(weights, v), params.wo)
     if return_weights:
@@ -79,9 +77,9 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
 
 
 def self_attention(params: AttentionParams, tokens: Tensor,
-                   key_mask: Tensor | None = None, return_weights: bool = False):
+                   key_bias: Tensor | None = None, return_weights: bool = False):
     """Cross-attention with queries == keys_values."""
-    return cross_attention(params, tokens, tokens, key_mask=key_mask, return_weights=return_weights)
+    return cross_attention(params, tokens, tokens, key_bias=key_bias, return_weights=return_weights)
 
 
 @dataclass

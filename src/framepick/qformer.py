@@ -58,14 +58,12 @@ class QFormerParams:
 
 
 def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: Tensor,
-                    visual_key_mask: Tensor | None = None) -> Tensor:
+                    key_bias: Tensor | None = None) -> Tensor:
     """Fuse [B, Lv, d] visual tokens with [B, Lt, d] text -> [B, Lt, d].
 
-    `visual_key_mask` ([B, Lv], values in [0, 1]) weights visual keys in the
-    self-attention; query-token positions are always attendable. The frame
-    budget is enforced on the raw token count when no mask is given and on
-    the per-row attendable count for exact 0/1 masks (straight-through);
-    strictly relaxed masks are the budget's differentiable surrogate.
+    `key_bias` ([B, Lv]) is added to the self-attention logits of the visual
+    keys; the query-token keys take no bias. The visual tokens must fit the
+    frame budget: at most `frame_budget * patches` of them.
 
     The self-attention block computes only the query rows, as
     cross-attention from the query positions to the full sequence: nothing
@@ -74,28 +72,18 @@ def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: T
     different order).
     """
     b, lv, d = visual_tokens.shape
-    limit = params.frame_budget * params.patches
-    if visual_key_mask is None:
-        if lv > limit:
-            raise ValueError(
-                f"visual tokens ({lv}) exceed the frame budget "
-                f"({params.frame_budget} frames x {params.patches} patches)")
-    else:
-        m = visual_key_mask.data
-        if np.all((m == 0.0) | (m == 1.0)):
-            worst = int(m.sum(axis=1).max())
-            if worst > limit:
-                raise ValueError(
-                    f"masked-in tokens ({worst}) exceed the frame budget "
-                    f"({params.frame_budget} frames x {params.patches} patches)")
+    if lv > params.frame_budget * params.patches:
+        raise ValueError(
+            f"visual tokens ({lv}) exceed the frame budget "
+            f"({params.frame_budget} frames x {params.patches} patches)")
     q = params.num_queries
     queries = T.broadcast_to(T.reshape(params.query_tokens, (1, q, d)), (b, q, d))
     seq = T.concat([queries, visual_tokens], axis=1)
 
-    mask = None
-    if visual_key_mask is not None:
-        mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
-    fused_queries = nn.cross_attention(params.self_attn, T.narrow(seq, 1, 0, q), seq, key_mask=mask)
+    bias = None
+    if key_bias is not None:
+        bias = T.concat([Tensor(np.zeros((b, q))), key_bias], axis=1)
+    fused_queries = nn.cross_attention(params.self_attn, T.narrow(seq, 1, 0, q), seq, key_bias=bias)
     return nn.cross_attention(params.cross_attn, text_tokens, fused_queries)
 
 

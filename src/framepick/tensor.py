@@ -109,16 +109,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bw(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _op(out_data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -127,21 +117,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _op(out_data, (a, b), bw)
-
-
-def masked_log(m: Tensor, floor: float = -1e9) -> Tensor:
-    """log with log(0) mapped to `floor` and zero gradient at clamped entries.
-
-    Used to turn attention masks in [0, 1] into additive logits: a hard zero
-    removes a key exactly (softmax underflows to 0 after max subtraction).
-    """
-    positive = m.data > 0.0
-    out_data = np.where(positive, np.log(np.where(positive, m.data, 1.0)), floor)
-
-    def bw(g):
-        _acc(m, np.where(positive, g / np.where(positive, m.data, 1.0), 0.0))
-
-    return _op(out_data, (m,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Stage 1 trains the teacher fusion model (plus text encoder and answer head)
 on all frames with the answer loss only. Stage 2 freezes those and trains
 the student fusion model, the frame selector and the distillation decoder
-against answer loss + lambda * feature-distillation loss, with the Gumbel
-temperature annealed geometrically. Both stages run one loop (`_run_stage`);
+against answer loss + lambda * feature-distillation loss + the selector's
+cross entropy on the frozen teacher's saliency labels. Both stages run one
+loop (`_run_stage`);
 `train_teacher` and `train_student` give it their model, random stream,
 step count and loss (`teacher_loss`, `student_loss`). Both stages are
 bitwise deterministic functions of (seed, config) and resumable from
@@ -45,7 +46,6 @@ class TrainConfig:
     eval_every: int = 200
     eval_samples: int = 256
     checkpoint_every: int = 0     # 0: final checkpoint only
-    audit_frozen: bool = False    # verify frozen gradients every step
     num_queries: int = 8          # learnable query tokens of each fusion model
     prompter_cfg: FramePrompterConfig = field(default_factory=FramePrompterConfig)
     data: synth.DatasetSpec = field(default_factory=synth.DatasetSpec)
@@ -212,54 +212,50 @@ def make_batch(samples) -> Batch:
     )
 
 
-def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
-    """All-frames fusion: returns (answer logits, fusion output)."""
+def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, key_bias: Tensor | None = None):
+    """All-frames fusion: returns (answer logits, fusion output). `key_bias`
+    ([B, T * N]) goes to the fusion's self-attention logits of the visual tokens."""
     b, t, n, _ = batch.raw.shape
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
     tokens = T.reshape(T.matmul(feats, bundle.teacher_proj), (b, t * n, bundle.teacher_proj.shape[1]))
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
-    fused = qformer.qformer_forward(bundle.teacher_qf, tokens, text)
+    fused = qformer.qformer_forward(bundle.teacher_qf, tokens, text, key_bias=key_bias)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(fused, choices, bundle.answer)
     return logits, fused
 
 
 def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: str,
-                    tau: float | None = None, rng: np.random.Generator | None = None):
+                    rng: np.random.Generator | None = None):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    mode "train" (needs `tau`) draws a relaxed mask; under straight-through
-    (the default) the student reads only the picked frames, keyed by the
-    soft mask's values there, and a strictly relaxed mask weights every
-    frame. mode "infer", the deterministic evaluation path, gathers the
-    argmax picks. With no selector, `prompter.uniform_mask` stands in, in
-    both modes. `frame_keys` runs once, on the frozen C-wide features, and
-    only the keys it returns are projected to d_model (S * N per video, or
-    T * N for a strictly relaxed mask): the projection is per token and the
-    features take no gradient, so this equals projecting every frame and
-    then gathering. The student fusion and, with a selector, the guide
-    attention read the same projected keys and key mask, and the guide's
-    output is added to the fusion output.
+    mode "train" (needs `rng`) takes the selector's Gumbel-max pick, mode
+    "infer", the deterministic evaluation path, its argmax pick; with no
+    selector, `prompter.uniform_mask` stands in. `frame_keys` gathers the S
+    picked frames once, from the frozen C-wide features, and only those
+    S * N keys per video are projected to d_model (the projection is per
+    token, so this equals projecting every frame, then gathering). The
+    student fusion and, with a selector, the guide attention read the same
+    keys, and the guide's output is added to the fusion output.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and tau is None:
-        raise ValueError("train mode requires tau")
+    if mode == "train" and rng is None:
+        raise ValueError("train mode requires rng")
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)  # [B, T, N, C]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
     if bundle.prompter_params is not None:
         mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      tau=tau if mode == "train" else None, rng=rng)
+                                      rng=rng if mode == "train" else None)
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
-    keys, key_mask = prompter.frame_keys(feats, mask)
-    vis = T.matmul(keys, bundle.student_proj)  # [B, L, d]
-    x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
+    vis = T.matmul(prompter.frame_keys(feats, mask), bundle.student_proj)  # [B, S * N, d]
+    x_student = qformer.qformer_forward(bundle.student_qf, vis, text)
 
     answer_input = x_student
     if bundle.prompter_params is not None:
-        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_mask=key_mask)
+        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis)
         # guide first, so backward sums the guide's key and value gradients
         # at `vis` before adding the fusion's; `student.proj` then takes one
         # product of the keys with that sum. The pinned student digests
@@ -345,8 +341,8 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
 # ---------------------------------------------------------------------------
 # metrics
 
-# selection_overlap is always empty; the column stays so the CSV format
-# (and the digests pinned on it) does not change.
+# selection_overlap and tau are always empty; the columns stay so the CSV
+# format (and the digests pinned on it) does not change.
 METRIC_FIELDS = ("step", "split", "loss_vqa", "loss_distill", "accuracy",
                  "keyframe_recall", "selection_overlap", "tau", "lr")
 
@@ -571,28 +567,50 @@ def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
     return loss, logits, {"loss_vqa": loss.item()}
 
 
+def teacher_targets(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
+    """The student step's one teacher pass: (distillation target, [B, T] saliency).
+
+    The visual tokens' key bias is a zero leaf, so the target equals
+    `teacher_forward`'s bitwise. A frame's saliency is the gradient of the
+    teacher's answer loss with respect to its tokens' bias, summed: how the
+    loss moves as the frozen teacher attends more to that frame.
+    """
+    b, t, n, _ = batch.raw.shape
+    key_bias = Tensor(np.zeros((b, t * n)), requires_grad=True)
+    logits, fused = teacher_forward(bundle, batch, cfg, key_bias=key_bias)
+    backward(surrogates.vqa_loss(logits, batch.answers))
+    return fused.detach(), key_bias.grad.reshape(b, t, n).sum(axis=2)
+
+
 def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
                  rng: np.random.Generator):
     """Stage 2 loss, answer logits and MetricsRow fields.
 
-    Answer loss on the selected frames, drawn with `rng` at the step's Gumbel
-    temperature, plus lambda * distillation loss against the all-frames
-    teacher when the bundle has a decoder.
+    Answer loss on the frames picked with `rng`, plus lambda * distillation
+    loss against the all-frames teacher with a decoder, plus, with a
+    selector, the cross entropy of its segment logits against each
+    segment's lowest-saliency frame (`teacher_targets`, one pass for both).
     """
-    tau = prompter.tau_schedule(step, cfg.student_steps, cfg.prompter_cfg)
-    logits, x_student, mask = student_forward(bundle, batch, cfg, "train", tau=tau, rng=rng)
+    fps = cfg.prompter_cfg.frames_per_segment
+    x_teacher = labels = None
+    if bundle.prompter_params is not None:
+        x_teacher, saliency = teacher_targets(bundle, batch, cfg)
+        labels = saliency.reshape(-1, fps).argmin(axis=1)  # [B * S], segment-major
+    elif bundle.decoder is not None:
+        _, x_teacher = teacher_forward(bundle, batch, cfg)
+    logits, x_student, mask = student_forward(bundle, batch, cfg, "train", rng=rng)
     loss_vqa = surrogates.vqa_loss(logits, batch.answers)
     loss, distill_val = loss_vqa, 0.0
     if bundle.decoder is not None:
-        _, x_teacher = teacher_forward(bundle, batch, cfg)
         loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
         loss = T.add(loss_vqa, loss_distill * cfg.lambda_distill)
         distill_val = loss_distill.item()
     recall = None
-    if bundle.prompter_params is not None:
+    if labels is not None:
+        loss = T.add(loss, T.cross_entropy(T.reshape(mask.logits, (labels.size, fps)), labels))
         recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes, cfg)))
     return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": distill_val,
-                          "keyframe_recall": recall, "tau": tau}
+                          "keyframe_recall": recall}
 
 
 def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, steps: int,
@@ -639,8 +657,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             if not math.isfinite(loss.item()):
                 raise RuntimeError(f"non-finite loss at step {step}; aborting")
             backward(loss)
-            if cfg.audit_frozen:
-                audit_frozen_gradients(bundle, stage)
+            audit_frozen_gradients(bundle, stage)
             clip_global_norm(params, GRAD_CLIP)
             adamw_step(params, opt, lr, BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY)
             for p in params.values():
@@ -691,9 +708,9 @@ def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Ch
                   out_dir=None, resume_from: Checkpoint | None = None):
     """Stage 2: student fusion + selector + decoder against the frozen rest.
 
-    Teacher targets are recomputed per batch on the full frame set; the
-    Gumbel temperature follows the geometric schedule across the run.
-    Returns (bundle, final val MetricsRow).
+    Each step runs one teacher pass on the full frame set, which gives the
+    distillation target and the selector's saliency labels
+    (`teacher_targets`). Returns (bundle, final val MetricsRow).
     """
     if teacher_ckpt.stage != STAGE_TEACHER:
         raise ValueError(f"student stage needs a teacher checkpoint, got stage {teacher_ckpt.stage!r}")

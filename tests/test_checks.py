@@ -38,8 +38,9 @@ def test_wrong_backward_is_reported(monkeypatch):
 
 
 def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):
-    # only the frame selector calls log_softmax, so only the selector's
-    # parameters see the fault: its head and its frame embedding
-    monkeypatch.setattr(T, "log_softmax", with_scaled_backward(T.log_softmax))
+    # only the selector's frame embedding calls relu, so only the embedding
+    # sees the fault: the select head sits after it, and the pick passes no
+    # gradient to the rest of the student
+    monkeypatch.setattr(T, "relu", with_scaled_backward(T.relu))
     failed = {r.name for r in checks.run_scope("end2end") if not r.passed}
-    assert failed == {"end2end.select_head", "end2end.embed"}
+    assert failed == {"end2end.embed"}

@@ -15,6 +15,11 @@ def make_attn(d=4, rng=None):
     return nn.AttentionParams.init(d, rng or np.random.default_rng(0))
 
 
+def mask_bias(mask):
+    """A 0/1 key mask as a key bias: 0 where kept, -1e9 where removed."""
+    return np.where(mask == 1.0, 0.0, -1e9)
+
+
 class TestCrossAttention:
     def test_single_key_ignores_query_content(self, rng):
         params = make_attn(d=4, rng=rng)
@@ -68,41 +73,65 @@ class TestCrossAttention:
         assert np.allclose(out.data[0], w @ kv[0], atol=1e-12)
 
     def test_hard_mask_removes_key_exactly(self, rng):
+        # a 0/1 key mask enters as a key bias of 0 on kept keys and -1e9 on
+        # removed ones, as the all-frames reference of the student forward does
         params = make_attn(d=4, rng=rng)
         queries = Tensor(rng.normal(size=(1, 2, 4)))
         kv = rng.normal(size=(1, 4, 4))
-        mask = Tensor(np.array([[1.0, 0.0, 1.0, 1.0]]))
-        out = nn.cross_attention(params, queries, Tensor(kv), key_mask=mask)
+        bias = Tensor(mask_bias(np.array([[1.0, 0.0, 1.0, 1.0]])))
+        out = nn.cross_attention(params, queries, Tensor(kv), key_bias=bias)
         kv2 = kv.copy()
         kv2[0, 1] += 100.0  # finite perturbation of the masked key
-        out2 = nn.cross_attention(params, queries, Tensor(kv2), key_mask=mask)
+        out2 = nn.cross_attention(params, queries, Tensor(kv2), key_bias=bias)
         assert np.array_equal(out.data, out2.data)
 
     def test_all_ones_mask_matches_unmasked(self, rng):
         params = make_attn(d=4, rng=rng)
         queries = Tensor(rng.normal(size=(1, 2, 4)))
         kv = Tensor(rng.normal(size=(1, 3, 4)))
-        masked = nn.cross_attention(params, queries, kv, key_mask=Tensor(np.ones((1, 3))))
+        masked = nn.cross_attention(params, queries, kv, key_bias=Tensor(mask_bias(np.ones((1, 3)))))
         plain = nn.cross_attention(params, queries, kv)
         assert np.array_equal(masked.data, plain.data)
 
-    def test_all_zero_mask_row_raises(self, rng):
+    def test_key_bias_reweights_identical_keys(self, rng):
+        # identical keys tie the dot products, so the weights are softmax(bias)
         params = make_attn(d=4, rng=rng)
-        with pytest.raises(ValueError, match="no attendable keys"):
-            nn.cross_attention(params, Tensor(rng.normal(size=(1, 2, 4))),
-                               Tensor(rng.normal(size=(1, 3, 4))),
-                               key_mask=Tensor(np.zeros((1, 3))))
+        kv = Tensor(np.tile(rng.normal(size=(1, 1, 4)), (2, 3, 1)))
+        bias = rng.normal(size=(2, 3))
+        _, weights = nn.cross_attention(params, Tensor(rng.normal(size=(2, 2, 4))), kv,
+                                        key_bias=Tensor(bias), return_weights=True)
+        expect = np.exp(bias) / np.exp(bias).sum(axis=1, keepdims=True)
+        assert np.allclose(weights.data, expect[:, None, :], atol=1e-12)
+
+    def test_key_bias_gradient(self, rng):
+        params = make_attn(d=4, rng=rng)
+        queries = rng.normal(size=(1, 2, 4))
+        kv = rng.normal(size=(1, 3, 4))
+        w = rng.normal(size=(1, 2, 4))
+
+        def f(bias):
+            out = nn.cross_attention(params, Tensor(queries), Tensor(kv), key_bias=bias)
+            return T.sum_all(T.mul(out, Tensor(w)))
+
+        assert grad_check(f, Tensor(np.zeros((1, 3))), tol=1e-5).passed
 
     def test_soft_mask_gradient(self, rng):
+        # a soft key mask enters as its log, a key bias
         params = make_attn(d=4, rng=rng)
         queries = rng.normal(size=(1, 2, 4))
         kv = rng.normal(size=(1, 3, 4))
 
         def f(mask_logits):
-            mask = T.softmax(mask_logits, axis=-1)
-            return T.sum_all(nn.cross_attention(params, Tensor(queries), Tensor(kv), key_mask=mask))
+            log_mask = T.log_softmax(mask_logits, axis=-1)
+            return T.sum_all(nn.cross_attention(params, Tensor(queries), Tensor(kv), key_bias=log_mask))
 
         assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-5).passed
+
+    def test_key_bias_shape_mismatch(self, rng):
+        params = make_attn(d=4, rng=rng)
+        with pytest.raises(ValueError, match=r"key_bias shape \(1, 2\) does not match keys \(1, 3\)"):
+            nn.cross_attention(params, Tensor(rng.normal(size=(1, 2, 4))),
+                               Tensor(rng.normal(size=(1, 3, 4))), key_bias=Tensor(np.zeros((1, 2))))
 
     def test_width_mismatch(self, rng):
         params = make_attn(d=4, rng=rng)

@@ -1,6 +1,3 @@
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,7 +5,7 @@ from framepick import nn, prompter, synth
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
                                 frame_keys, pool_and_embed, sample_frames, segment_logits,
-                                select_frames, tau_schedule, uniform_mask)
+                                select_frames, uniform_mask)
 from framepick.tensor import Tensor, backward, grad_check
 
 
@@ -33,13 +30,9 @@ def params(cfg, rng):
     return FramePrompterParams.init(cfg, rng)
 
 
-def relaxed(cfg):
-    return replace(cfg, straight_through=False)
-
-
 def hard_pick(logits, cfg, noise):
-    """The Gumbel-max pick under `noise`; it does not depend on tau."""
-    return sample_frames(logits, cfg, tau=1.0, noise=noise)
+    """The Gumbel-max pick under `noise`."""
+    return sample_frames(logits, cfg, noise=noise)
 
 
 class TestConfig:
@@ -53,10 +46,10 @@ class TestConfig:
             small_cfg(**{field: 0})
 
     def test_bad_tau_rejected(self):
-        with pytest.raises(ValueError):
-            small_cfg(tau_end=0.0)
-        with pytest.raises(ValueError):
-            small_cfg(tau_start=0.001, tau_end=0.01)
+        # picks are hard: the relaxation's temperature fields are gone
+        for field in ("tau_start", "tau_end", "straight_through"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+                small_cfg(**{field: 1.0})
 
 
 class TestPoolAndEmbed:
@@ -119,6 +112,14 @@ class TestSegmentLogits:
 
 
 class TestGumbelHard:
+    def test_rng_draws_the_noise_it_would_pass(self, cfg):
+        # a training pick from `rng` is the pick under that generator's
+        # first Gumbel draw of the logits' shape
+        logits = Tensor(np.random.default_rng(1).normal(size=(3, cfg.segments, cfg.frames_per_segment)))
+        drawn = sample_frames(logits, cfg, rng=np.random.default_rng(5))
+        noise = np.random.default_rng(5).gumbel(size=logits.shape)
+        assert drawn.selected == hard_pick(logits, cfg, noise).selected
+
     def test_zero_noise_reduces_to_argmax(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         mask = hard_pick(logits, cfg, np.zeros(logits.shape))
@@ -135,7 +136,7 @@ class TestGumbelHard:
         rng = np.random.default_rng(0)
         draws = 100_000
         logits = Tensor(np.tile(np.log(probs), (draws, 1, 1)))
-        mask = sample_frames(logits, cfg, tau=1.0, rng=rng)
+        mask = sample_frames(logits, cfg, rng=rng)
         freqs = mask.hard.reshape(logits.shape).mean(axis=0).ravel()
         assert np.all(np.abs(freqs - probs) <= 0.01), freqs
 
@@ -148,101 +149,50 @@ class TestGumbelHard:
 
     def test_indices_strictly_increasing(self, cfg, rng):
         logits = Tensor(rng.normal(size=(4, cfg.segments, cfg.frames_per_segment)))
-        mask = sample_frames(logits, cfg, tau=1.0, rng=rng)
+        mask = sample_frames(logits, cfg, rng=rng)
         for row in mask.selected:
             assert all(a < b for a, b in zip(row, row[1:]))
 
 
-class TestGumbelSoft:
-    def test_low_temperature_approaches_one_hot(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)) * 3)
-        noise = rng.gumbel(size=logits.shape)
-        mask = sample_frames(logits, relaxed(cfg), tau=0.01, noise=noise)
-        hard = hard_pick(logits, cfg, noise)
-        assert np.all(np.abs(mask.soft.data - hard.hard) < 1e-6)
-
-    def test_high_temperature_approaches_uniform(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
-        mask = sample_frames(logits, relaxed(cfg), tau=1e7, rng=rng)
-        assert np.allclose(mask.soft.data, 1.0 / cfg.frames_per_segment, atol=1e-6)
-
-    def test_straight_through_forward_equals_hard_bitwise(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
-        noise = rng.gumbel(size=logits.shape)
-        st = sample_frames(logits, cfg, tau=0.7, noise=noise)
-        hard = hard_pick(logits.detach(), cfg, noise)
-        assert np.array_equal(st.soft.data, hard.hard)
-        assert st.selected == hard.selected
-
-    def test_straight_through_gradient_equals_soft_path(self, cfg, rng):
-        # finite differences on the relaxed path certify the analytic gradient
-        # the straight-through estimator reuses
-        noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
-        w = rng.normal(size=(1, cfg.frames))
-
-        def soft_scalar(logits):
-            mask = sample_frames(logits, relaxed(cfg), tau=0.7, noise=noise)
-            return T.sum_all(T.mul(mask.soft, Tensor(w)))
-
-        x = rng.normal(size=(1, cfg.segments, cfg.frames_per_segment))
-        assert grad_check(soft_scalar, Tensor(x), tol=1e-4).passed
-
-        st_in = Tensor(x, requires_grad=True)
-        st_mask = sample_frames(st_in, cfg, tau=0.7, noise=noise)
-        backward(T.sum_all(T.mul(st_mask.soft, Tensor(w))))
-        soft_in = Tensor(x, requires_grad=True)
-        soft_mask = sample_frames(soft_in, relaxed(cfg), tau=0.7, noise=noise)
-        backward(T.sum_all(T.mul(soft_mask.soft, Tensor(w))))
-        assert np.allclose(st_in.grad, soft_in.grad, atol=1e-12)
-
-    def test_per_segment_rows_sum_to_one(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        mask = sample_frames(logits, relaxed(cfg), tau=0.5, rng=rng)
-        assert np.all(np.abs(mask.soft.data.reshape(logits.shape).sum(axis=-1) - 1.0) <= 1e-9)
-
-    def test_monotone_sharpening(self, cfg, rng):
-        # lower temperature never blunts the winning weight for the same draw
-        for _ in range(20):
-            logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
-            noise = rng.gumbel(size=logits.shape)
-            lo = sample_frames(logits, relaxed(cfg), tau=0.3, noise=noise)
-            hi = sample_frames(logits, relaxed(cfg), tau=1.7, noise=noise)
-            lo_seg, hi_seg = lo.soft.data.reshape(logits.shape), hi.soft.data.reshape(logits.shape)
-            assert np.all(lo_seg.max(axis=-1) >= hi_seg.max(axis=-1) - 1e-12)
-
-    def test_nonpositive_tau_rejected(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
-        with pytest.raises(ValueError):
-            sample_frames(logits, cfg, tau=0.0, rng=rng)
-        with pytest.raises(ValueError, match="tau must be positive, got -0.5"):
-            sample_frames(logits, cfg, tau=-0.5, rng=rng)
+class TestPickGradient:
+    def test_no_gradient_flows_through_the_pick(self, cfg, rng):
+        # the pick reads the logits' values; the selector learns from the
+        # cross entropy of `mask.logits` alone
+        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
+        mask = sample_frames(logits, cfg, rng=rng)
+        assert mask.logits is logits
+        assert isinstance(mask.hard, np.ndarray)
+        labels = np.array(mask.selected).reshape(-1) % cfg.frames_per_segment
+        flat = T.reshape(mask.logits, (labels.size, cfg.frames_per_segment))
+        backward(T.cross_entropy(flat, labels))
+        p = T.softmax(logits.detach(), axis=-1).data
+        expect = (p - mask.hard.reshape(logits.shape)) / labels.size
+        assert np.allclose(logits.grad, expect, atol=1e-15)
 
 
 class TestSampleFramesInputs:
+    # noise None: the inference pick; 0.5: a training pick under constant noise
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("tau", [None, 0.5])
-    def test_non_finite_logits_rejected(self, cfg, rng, bad, tau):
+    @pytest.mark.parametrize("noise", [None, 0.5])
+    def test_non_finite_logits_rejected(self, cfg, rng, bad, noise):
         data = rng.normal(size=(2, cfg.segments, cfg.frames_per_segment))
         data[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite logits"):
-            sample_frames(Tensor(data), cfg, tau=tau, rng=rng)
-
-    def test_rng_or_noise_required(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(1, cfg.segments, cfg.frames_per_segment)))
-        with pytest.raises(ValueError, match="rng is required"):
-            sample_frames(logits, cfg, tau=0.5)
+            sample_frames(Tensor(data), cfg, noise=None if noise is None else np.full(data.shape, noise))
 
     def test_noise_shape_must_match_logits(self, cfg, rng):
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         with pytest.raises(ValueError, match="noise shape"):
-            sample_frames(logits, cfg, tau=0.5, noise=np.zeros((1, cfg.segments, cfg.frames_per_segment)))
+            sample_frames(logits, cfg, noise=np.zeros((1, cfg.segments, cfg.frames_per_segment)))
 
     def test_inference_pick_is_the_zero_noise_pick(self, cfg, rng):
         logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
         mask = sample_frames(logits, cfg)
         zero = hard_pick(logits, cfg, np.zeros(logits.shape))
-        assert mask.soft is None
         assert np.array_equal(mask.hard, zero.hard) and mask.selected == zero.selected
+        # the scores without their graph, which the mask would keep alive
+        assert np.array_equal(mask.logits.data, logits.data) and not mask.logits.requires_grad
+        assert zero.logits is logits
 
 
 class TestUniformMask:
@@ -252,29 +202,16 @@ class TestUniformMask:
         mask = uniform_mask(3, cfg)
         picks = list(synth.uniform_frame_indices(t, s))
         assert mask.selected == [picks] * 3
-        assert mask.soft is None
+        assert mask.logits is None
         expect = np.zeros((3, t))
         expect[:, picks] = 1.0
         assert np.array_equal(mask.hard, expect)
 
 
-class TestTauSchedule:
-    def test_endpoints_and_midpoint_exact(self):
-        cfg = small_cfg()
-        assert tau_schedule(0, 1000, cfg) == 1.0
-        assert tau_schedule(1000, 1000, cfg) == 0.01
-        assert tau_schedule(500, 1000, cfg) == 0.1
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            tau_schedule(0, 0, small_cfg())
-
-
 def guide_fuse(x_tokens, mask, text, params):
     """The guide path of `trainer.student_forward`: the mask's keys, then
     the text-queried guide attention over them."""
-    keys, key_mask = frame_keys(x_tokens, mask)
-    return nn.cross_attention(params.guide_attn, text, keys, key_mask=key_mask)
+    return nn.cross_attention(params.guide_attn, text, frame_keys(x_tokens, mask))
 
 
 def select_and_guide(x, tokens, text, params, cfg, **kw):
@@ -290,9 +227,7 @@ class TestApplyMaskAndFuse:
     def test_full_mask_matches_unmasked_attention(self, cfg, params, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
-        full = SelectionMask(hard=np.ones((1, cfg.frames)),
-                             selected=[list(range(cfg.frames))],
-                             soft=Tensor(np.ones((1, cfg.frames))))
+        full = SelectionMask(hard=np.ones((1, cfg.frames)), selected=[list(range(cfg.frames))])
         fused = guide_fuse(tokens, full, text, params)
         b, t, n, d = tokens.shape
         plain = nn.cross_attention(params.guide_attn, text, T.reshape(tokens, (b, t * n, d)))
@@ -303,27 +238,13 @@ class TestApplyMaskAndFuse:
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         hard = np.zeros((1, cfg.frames))
         hard[0, 3] = 1.0
-        mask = SelectionMask(hard=hard, selected=[[3]], soft=Tensor(hard))
+        mask = SelectionMask(hard=hard, selected=[[3]])
         out = guide_fuse(Tensor(tokens), mask, text, params)
         perturbed = tokens.copy()
         perturbed[0, 0] += 50.0
         perturbed[0, 6] -= 9.0
         out2 = guide_fuse(Tensor(perturbed), mask, text, params)
         assert np.array_equal(out.data, out2.data)
-
-    def test_soft_vs_hard_agree_at_low_temperature(self, cfg, params, rng):
-        tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
-        text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        noise = rng.gumbel(size=logits.shape)
-        soft_mask = sample_frames(logits, relaxed(cfg), tau=0.01, noise=noise)
-        hard_mask = hard_pick(logits, cfg, noise)
-        # not exactly 0/1, so the soft mask keeps every frame and is compared
-        # against the gather of the hard picks
-        assert not np.all((soft_mask.soft.data == 0.0) | (soft_mask.soft.data == 1.0))
-        soft_out = guide_fuse(tokens, soft_mask, text, params)
-        hard_out = guide_fuse(tokens, hard_mask, text, params)
-        assert np.all(np.abs(soft_out.data - hard_out.data) < 1e-4)
 
     def test_empty_selection_rejected(self, cfg, params, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
@@ -354,23 +275,20 @@ class TestSelectFrames:
             for s, idx in enumerate(row):
                 assert s * 8 <= idx < (s + 1) * 8
 
-    def test_train_mode_straight_through_hard_row_sums(self, cfg, params, rng):
+    def test_train_mode_hard_row_sums(self, cfg, params, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
-        mask = select_frames(x, params, cfg, tau=0.5, rng=rng)
+        mask = select_frames(x, params, cfg, rng=rng)
         assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments] * 2)
-        assert np.array_equal(mask.soft.data, mask.hard)  # straight-through
+        assert mask.logits.shape == (2, cfg.segments, cfg.frames_per_segment)
 
     def test_selection_gradient_reaches_select_head(self, cfg, rng):
-        # the text-supervised gradient path exists: d loss / d select-head
-        # weights is nonzero and matches finite differences on the relaxed path
-        cfg = small_cfg()
-        cfg.straight_through = False
+        # the selector's training signal: the cross entropy of its segment
+        # logits against per-segment labels reaches the select-head weights
+        # and matches finite differences
         params = FramePrompterParams.init(cfg, rng)
         x = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels))
-        tokens = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model))
-        text = rng.normal(size=(1, 2, cfg.d_model))
         noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
-        proj = rng.normal(size=(cfg.d_model, 1))
+        labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
         head_w = params.select_head.steps[0][1]
 
         def f(w):
@@ -378,9 +296,8 @@ class TestSelectFrames:
                 embed=params.embed,
                 select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]),
                 guide_attn=params.guide_attn)
-            fused, _ = select_and_guide(Tensor(x), Tensor(tokens), Tensor(text), p, cfg,
-                                        tau=0.5, noise=noise)
-            return T.sum_all(T.matmul(fused, Tensor(proj)))
+            mask = select_frames(Tensor(x), p, cfg, noise=noise)
+            return T.cross_entropy(T.reshape(mask.logits, (cfg.segments, cfg.frames_per_segment)), labels)
 
         report = grad_check(f, Tensor(head_w.data.copy()), eps=1e-5, tol=1e-4)
         assert report.passed, report

@@ -66,6 +66,15 @@ class TestQFormerForward:
             qformer_forward(params, Tensor(rng.normal(size=(1, 6, 4))),
                             Tensor(rng.normal(size=(1, 2, 4))))
 
+    def test_key_bias_does_not_lift_the_budget(self, rng):
+        # the budget counts visual tokens, whatever bias the keys carry
+        params = make_qf(d=4, q=2, budget=2, patches=2, rng=rng)
+        bias = np.zeros((1, 6))
+        bias[0, 4:] = -1e9
+        with pytest.raises(ValueError, match=r"visual tokens \(6\) exceed the frame budget"):
+            qformer_forward(params, Tensor(rng.normal(size=(1, 6, 4))),
+                            Tensor(rng.normal(size=(1, 2, 4))), key_bias=Tensor(bias))
+
     def test_output_shape_fixed_across_budgets(self, rng):
         text = Tensor(rng.normal(size=(2, 3, 4)))
         for frames in (1, 2, 4):
@@ -83,28 +92,47 @@ class TestQFormerForward:
         assert np.array_equal(qformer_forward(a, vis, text).data,
                               qformer_forward(b, vis, text).data)
 
+    def test_visual_key_bias_gradient(self, rng):
+        # the gradient the teacher's frame saliency is read from
+        params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
+        vis = rng.normal(size=(1, 3, 4))
+        text = rng.normal(size=(1, 2, 4))
+
+        def f(bias):
+            return T.sum_all(qformer_forward(params, Tensor(vis), Tensor(text), key_bias=bias))
+
+        assert grad_check(f, Tensor(np.zeros((1, 3))), tol=1e-5).passed
+
     def test_soft_visual_mask_gradient(self, rng):
+        # a soft mask over the visual keys enters as its log, a key bias
         params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
         vis = rng.normal(size=(1, 3, 4))
         text = rng.normal(size=(1, 2, 4))
 
         def f(mask_logits):
-            mask = T.softmax(mask_logits, axis=-1)
-            return T.sum_all(qformer_forward(params, Tensor(vis), Tensor(text),
-                                             visual_key_mask=mask))
+            log_mask = T.log_softmax(mask_logits, axis=-1)
+            return T.sum_all(qformer_forward(params, Tensor(vis), Tensor(text), key_bias=log_mask))
 
         assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-5).passed
 
+    def test_zero_key_bias_is_bitwise_neutral(self, rng):
+        params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
+        vis = Tensor(rng.normal(size=(2, 3, 4)))
+        text = Tensor(rng.normal(size=(2, 2, 4)))
+        bias = Tensor(np.zeros((2, 3)), requires_grad=True)
+        assert np.array_equal(qformer_forward(params, vis, text, key_bias=bias).data,
+                              qformer_forward(params, vis, text).data)
 
-def full_rows_forward(params, vis, text, visual_key_mask=None):
+
+def full_rows_forward(params, vis, text, key_bias=None):
     """Reference fusion: self-attention over every row, then narrow."""
     b, _, d = vis.shape
     q = params.num_queries
     seq = T.concat([T.broadcast_to(T.reshape(params.query_tokens, (1, q, d)), (b, q, d)), vis], axis=1)
-    mask = None
-    if visual_key_mask is not None:
-        mask = T.concat([Tensor(np.ones((b, q))), visual_key_mask], axis=1)
-    seq = nn.self_attention(params.self_attn, seq, key_mask=mask)
+    bias = None
+    if key_bias is not None:
+        bias = T.concat([Tensor(np.zeros((b, q))), key_bias], axis=1)
+    seq = nn.self_attention(params.self_attn, seq, key_bias=bias)
     return nn.cross_attention(params.cross_attn, text, T.narrow(seq, 1, 0, q))
 
 
@@ -116,7 +144,9 @@ def assert_close(actual, expected, rel=1e-12):
 class TestLastBlockQueryRows:
     """qformer_forward computes only the query rows of its self-attention
     block; it must equal the full-rows reference in outputs and in every
-    gradient."""
+    gradient, with no key bias or with the bias of a mask: -1e9 at the
+    keys a hard 0/1 mask removes, or the log of relaxed weights in
+    (0.1, 0.9), which takes a gradient."""
 
     B, FRAMES, PATCHES, D, Q = 2, 4, 3, 8, 3
 
@@ -124,21 +154,21 @@ class TestLastBlockQueryRows:
         for p in params.named("qf").values():
             p.grad = None
         vis_t = Tensor(vis.copy(), requires_grad=True)
-        mask_t = None
+        bias_t = None
         if mask_kind == "hard":
-            hard = np.ones((self.B, self.FRAMES * self.PATCHES))
-            hard[0, :self.PATCHES] = 0.0
-            hard[1, -2 * self.PATCHES:] = 0.0
-            mask_t = Tensor(hard)
+            bias = np.zeros((self.B, self.FRAMES * self.PATCHES))
+            bias[0, :self.PATCHES] = -1e9
+            bias[1, -2 * self.PATCHES:] = -1e9
+            bias_t = Tensor(bias)
         elif mask_kind == "relaxed":
-            mask_t = Tensor(np.random.default_rng(3).uniform(0.1, 0.9, size=vis.shape[:2]),
-                            requires_grad=True)
-        out = forward(params, vis_t, Tensor(text), visual_key_mask=mask_t)
+            weights = np.random.default_rng(3).uniform(0.1, 0.9, size=vis.shape[:2])
+            bias_t = Tensor(np.log(weights), requires_grad=True)
+        out = forward(params, vis_t, Tensor(text), key_bias=bias_t)
         backward(T.sum_all(T.mul(out, Tensor(readout))))
         grads = {name: p.grad.copy() for name, p in params.named("qf").items()}
         grads["visual_tokens"] = vis_t.grad
         if mask_kind == "relaxed":
-            grads["mask"] = mask_t.grad
+            grads["key_bias"] = bias_t.grad
         return out.data, grads
 
     @pytest.mark.parametrize("mask_kind", ["none", "hard", "relaxed"])
@@ -155,19 +185,6 @@ class TestLastBlockQueryRows:
         for name in ref_grads:
             assert np.any(ref_grads[name] != 0.0), name
             assert_close(grads[name], ref_grads[name])
-
-    def test_straight_through_mask_over_budget_raises(self):
-        rng = np.random.default_rng(2)
-        params = QFormerParams.init(self.D, self.Q, 2, self.PATCHES, rng)
-        lv = self.FRAMES * self.PATCHES
-        hard = np.zeros((1, lv))
-        hard[0, :3 * self.PATCHES] = 1.0  # three frames against a budget of two
-        soft = T.softmax(Tensor(rng.normal(size=(1, lv)), requires_grad=True), axis=-1)
-        mask = T.add(Tensor(hard), T.sub(soft, soft.detach()))
-        assert np.array_equal(mask.data, hard)
-        with pytest.raises(ValueError, match="budget"):
-            qformer_forward(params, Tensor(rng.normal(size=(1, lv, self.D))),
-                            Tensor(rng.normal(size=(1, 2, self.D))), visual_key_mask=mask)
 
 
 class TestDistillDecoder:

@@ -353,14 +353,6 @@ class TestShapeOps:
         assert x.grad[1, 3].sum() == 6.0  # picked twice, 3 elements each
         assert x.grad[0, 1].sum() == 0.0
 
-    def test_masked_log(self):
-        m = Tensor([0.5, 1.0, 0.0], requires_grad=True)
-        out = T.masked_log(m)
-        assert np.allclose(out.data[:2], [math.log(0.5), 0.0])
-        assert out.data[2] == -1e9
-        backward(T.sum_all(out))
-        assert np.allclose(m.grad, [2.0, 1.0, 0.0])
-
 
 class TestGradCheck:
     def test_sum_of_squares_closed_form(self, rng):
@@ -427,7 +419,7 @@ class TestBroadcastProperties:
         assert np.allclose(out, summed_to(g, shape), rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(shapes=two_shapes, op=st.sampled_from(["add", "sub", "mul"]), rng=values)
+    @given(shapes=two_shapes, op=st.sampled_from(["add", "mul"]), rng=values)
     def test_elementwise_gradients_have_input_shapes(self, shapes, op, rng):
         a_shape, b_shape = shapes.input_shapes
         a = Tensor(rng.uniform(0.5, 2.0, size=a_shape), requires_grad=True)
@@ -437,7 +429,7 @@ class TestBroadcastProperties:
         w = rng.normal(size=shapes.result_shape)
         backward(T.sum_all(T.mul(out, Tensor(w))))
         assert a.grad.shape == a_shape and b.grad.shape == b_shape
-        da, db = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data)}[op]
+        da, db = {"add": (1.0, 1.0), "mul": (b.data, a.data)}[op]
         assert np.allclose(a.grad, summed_to(w * da, a_shape), rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, summed_to(w * db, b_shape), rtol=1e-12, atol=1e-12)
 

@@ -143,45 +143,45 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "efdffce9825bc2a0f5e33d0a5c40825d57c3383f79800b7788ba91042852c089",
+            "185e26378464a0f6f9925220d3b6597d14f866cc34dba37ff84a96bed7cbab76",
         "student/student.ckpt":
-            "aa3dc146ee24d4a6f7e4127fff175c84b9cf1e3af08763ebe38c56992c97bd88",
+            "0dbaaadba104030b58a48229d4d42823498dd253c1a222557077c7378d911ff4",
         "student/student_step2.ckpt":
-            "0bffbb73f68b12f0f380ac627e5ef0b375db6bfe58ce4f77bd375160beafa0cb",
+            "f701582ab6820b2ebb9a323067cda748b3e9ed00c870ca3c0d29db3a8532e633",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "cf40c4f148ec2b7245259c9d7db5107354525cbe05c8b225e31f5ebd3b20565f",
+            "388523474a609a414afabcb3300d7461bb9cd929fa92ce7522e2405630de3fca",
         "teacher/teacher_step2.ckpt":
-            "76f0b050434c8ac727f31c7a96c154770529bad7bcbb647ea2a048e3536a4d2b",
+            "33b54bec2a5f54ec27c7f95acb979e94cb3a293537cdfaeb739e55afbd847edf",
     },
     "uniform_picks": {
         "student/metrics.csv":
-            "5f88a8bab04f38b62f9613e57e887350bfc1dbe8d3429232d4051486a61c015a",
+            "d299b4b69cd755b41d5a4cce57785ffd12c450b8603fe444b73bd3d4342cc053",
         "student/student.ckpt":
-            "4062699e61f2e1fbbaf5f8e1ec8c17067488d5af75ffd557152f0c2494454565",
+            "abb3c1b2bc77d6165c7160b69c79043deb3103cda213052df336251193570851",
         "student/student_step2.ckpt":
-            "f22f320f13a50a598bb2ee3aeeb6e0b3cf97518e86ac6ae49520fdd0352d90e0",
+            "030e885cecf9e75fb5a4af5178dc91c8c6e43125e95a51b64831376eb947f8ea",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "ad5939c09c9ca5d36c3958385f88eef7bdc89dc82cdb387269a2ada532298bba",
+            "84fdbaed748878099cb66b9873edb4910118bd705b7c4e0b67334feacea75ecb",
         "teacher/teacher_step2.ckpt":
-            "54bdbecaa7e9f4a0926e4fa05b8faf074bd694e7a2b926ac7a2a05c668224ce0",
+            "3584b27497fd24e12b4b899b5178dffc42df9e0b2e5604d746fa0c23af7d8b53",
     },
     "no_distill": {
         "student/metrics.csv":
-            "5606aeb606b35d5c87d7503e9eecdb3bc05f44c71c7badeffeda750355a4ecc6",
+            "c7fb859845fa5fef0429390bfb52d1ef132da12cc3487e498aa00abe229ead54",
         "student/student.ckpt":
-            "787a0cc2ea25db93627822d5bc96f3b7e66f9ac649586b40aa8d9c9cda6ea7db",
+            "3eaaf204d57ee9c4dd215425f85575f18ae74adadb5013956227aa1b59ef9fc9",
         "student/student_step2.ckpt":
-            "daa075d8b94f8e0e783d27258c96300f036b044cecbd1dca5314c2bf8a6931e3",
+            "10d4e141715013cb2e189b8bab4ed47f0b98d5729d573f7e17ee8bdd34e10880",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "60da0964d629a40f4dfd74ea1b8abb47ae66df83098c532cf4afd09c90a30b13",
+            "4bb0ef73f9635c4b3cff9a249c95d8fae90316e7f476a17908e4a9afa5e95738",
         "teacher/teacher_step2.ckpt":
-            "4dd4ddeb207f7dd509dd7eee8e0bcf553e6fa5c1f938677717c14729e04d10c6",
+            "f1a39e59e1cf1b41f443923cac1dec7e18ad8a441d30c2f21b8db78cd7569bcb",
     },
 }
 
@@ -199,7 +199,7 @@ class TestStageDigests:
 
     @pytest.mark.parametrize("arm", sorted(STAGE_ARMS))
     def test_digests(self, arm, tmp_path):
-        cfg = tiny_config(eval_every=2, checkpoint_every=2, audit_frozen=True, **STAGE_ARMS[arm])
+        cfg = tiny_config(eval_every=2, checkpoint_every=2, **STAGE_ARMS[arm])
         assert run_both_stages(cfg, tmp_path) == STAGE_DIGESTS[arm]
 
 
@@ -332,6 +332,20 @@ class TestTrainConfig:
                                              r"max_text_len, vocab, weight_decay$"):
             trainer.TrainConfig.from_dict(d)
 
+    def test_from_dict_names_the_relaxation_fields(self):
+        # the layout before saliency labels replaced the Gumbel-Softmax
+        # relaxation: the nested prompter config is read first
+        d = json.loads(tiny_config().to_json())
+        d["prompter_cfg"].update(tau_start=1.0, tau_end=0.01, straight_through=True)
+        d["audit_frozen"] = False
+        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig.prompter_cfg: "
+                                             r"straight_through, tau_end, tau_start$"):
+            trainer.TrainConfig.from_dict(d)
+        for name in ("tau_start", "tau_end", "straight_through"):
+            del d["prompter_cfg"][name]
+        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: audit_frozen$"):
+            trainer.TrainConfig.from_dict(d)
+
 
 class TestUnknownStage:
     """A misspelt stage raises instead of running the student path."""
@@ -353,16 +367,16 @@ class TestUnknownStage:
 
 class TestStudentForwardMode:
     @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
-    @pytest.mark.parametrize("mode, tau, message", [
-        ("bogus", 0.5, "mode must be 'train' or 'infer', got 'bogus'"),
-        ("train", None, "train mode requires tau"),
-    ], ids=["unknown_mode", "train_without_tau"])
-    def test_rejected(self, use_prompter, mode, tau, message):
+    @pytest.mark.parametrize("mode, rng, message", [
+        ("bogus", np.random.default_rng(0), "mode must be 'train' or 'infer', got 'bogus'"),
+        ("train", None, "train mode requires rng"),
+    ], ids=["unknown_mode", "train_without_rng"])
+    def test_rejected(self, use_prompter, mode, rng, message):
         cfg = tiny_config(use_prompter=use_prompter)
         train, _ = synth.generate(cfg.data)
         with pytest.raises(ValueError, match=message):
             trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:1]), cfg, mode,
-                                    tau=tau, rng=np.random.default_rng(0))
+                                    rng=rng)
 
 
 class TestLoadIntoBundle:
@@ -462,14 +476,6 @@ class TestClipGlobalNorm:
         assert np.array_equal(params["b"].grad, [4.0])
 
 
-def all_frames_keys(x_tokens, mask):
-    """Reference key path: every frame stays a key, weighted by the mask."""
-    b, t, n, d = x_tokens.shape
-    weights = mask.soft if mask.soft is not None else Tensor(mask.hard)
-    per_token = T.reshape(T.broadcast_to(T.reshape(weights, (b, t, 1)), (b, t, n)), (b, t * n))
-    return T.reshape(x_tokens, (b, t * n, d)), per_token
-
-
 def student_loss_and_grads(cfg):
     """Stage-2 loss on one batch and every trainable parameter's gradient."""
     train, _ = synth.generate(cfg.data)
@@ -482,15 +488,15 @@ def student_loss_and_grads(cfg):
                          for name, p in params.items()}
 
 
-def mismatched_gradients(cfg, monkeypatch, frame_keys):
-    """Names whose gradient under `frame_keys` differs from the all-frames
-    reference by more than 1e-12 of the reference's largest magnitude."""
-    results = []
-    for keys_fn in (frame_keys, all_frames_keys):
-        with monkeypatch.context() as patch:
-            patch.setattr(prompter, "frame_keys", keys_fn)
-            results.append(student_loss_and_grads(cfg))
-    return mismatched_names(*results)
+def mismatched_gradients(cfg, monkeypatch, reference_forward):
+    """Names whose gradient under `trainer.student_forward` differs from the
+    one under `reference_forward` by more than 1e-12 of the reference's
+    largest magnitude."""
+    result = student_loss_and_grads(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "student_forward", reference_forward)
+        reference = student_loss_and_grads(cfg)
+    return mismatched_names(result, reference)
 
 
 def mismatched_names(result, reference):
@@ -502,6 +508,41 @@ def mismatched_names(result, reference):
                   if np.abs(grads[name] - ref).max() > 1e-12 * np.abs(ref).max())
 
 
+def reference_forward(bundle, batch, cfg, mode, rng=None, all_frames=False, key_mask=True):
+    """Reference student forward in the earlier order: project every frame's
+    features to d_model, then gather the keys from the projected tokens.
+    With `all_frames`, every frame stays a key instead, and unless `key_mask`
+    is False a -1e9 key bias removes the frames the mask did not pick."""
+    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
+    tokens = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
+    text = surrogates.encode_text(batch.questions, bundle.text_enc)
+    if bundle.prompter_params is not None:
+        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
+                                      rng=rng if mode == "train" else None)
+    else:
+        mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
+    fusion, key_bias = bundle.student_qf, None
+    if all_frames:
+        b, t, n, d = tokens.shape
+        vis = T.reshape(tokens, (b, t * n, d))
+        if key_mask:
+            key_bias = Tensor(np.repeat(np.where(mask.hard == 1.0, 0.0, -1e9), n, axis=1))
+        fusion = replace(fusion, frame_budget=t)   # shares the student's parameter tensors
+    else:
+        vis = prompter.frame_keys(tokens, mask)
+    x_student = qformer.qformer_forward(fusion, vis, text, key_bias=key_bias)
+    answer_input = x_student
+    if bundle.prompter_params is not None:
+        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_bias=key_bias)
+        answer_input = T.add(guide, x_student)
+    choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
+    return surrogates.score_answers(answer_input, choices, bundle.answer), x_student, mask
+
+
+def all_frames_forward(bundle, batch, cfg, mode, rng=None, key_mask=True):
+    return reference_forward(bundle, batch, cfg, mode, rng=rng, all_frames=True, key_mask=key_mask)
+
+
 def default_geometry_config(**overrides):
     data = synth.DatasetSpec(num_train=8, num_val=4, seed=4)
     return trainer.TrainConfig(seed=4, data=data, **overrides)
@@ -511,25 +552,28 @@ GEOMETRIES = {"T8": tiny_config, "T32": default_geometry_config}
 
 
 class TestGatherMatchesAllFrames:
-    """Under straight-through, reading only the picked frames (in the guide
-    and in the student fusion) gives the loss and gradients of reading every
-    frame under the 0/1 mask."""
+    """Reading only the picked frames (in the guide and in the student
+    fusion) gives the loss and gradients of reading every frame with the
+    unpicked ones removed by a key bias."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
     def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill):
         cfg = GEOMETRIES[geometry](lambda_distill=lambda_distill)
-        assert mismatched_gradients(cfg, monkeypatch, prompter.frame_keys) == []
+        assert mismatched_gradients(cfg, monkeypatch, all_frames_forward) == []
 
     def test_dropped_key_mask_is_caught(self, monkeypatch):
-        # without the gathered soft weights the selector gets no gradient
-        gather = prompter.frame_keys
-
-        def without_key_mask(x_tokens, mask):
-            return gather(x_tokens, mask)[0], None
-
-        bad = mismatched_gradients(tiny_config(), monkeypatch, without_key_mask)
-        assert "prompter.select.0.w" in bad and "prompter.embed.0.w" in bad
+        # without its key bias the all-frames reference also reads the
+        # unpicked frames, which moves the loss and the key readers' gradients
+        cfg = tiny_config()
+        loss, grads = student_loss_and_grads(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "student_forward",
+                          lambda *args, **kw: all_frames_forward(*args, **kw, key_mask=False))
+            ref_loss, ref_grads = student_loss_and_grads(cfg)
+        assert abs(loss - ref_loss) > 1e-6 * abs(ref_loss)
+        for name in ("prompter.guide.wk", "student.qf.self.wk", "student.proj"):
+            assert np.abs(grads[name] - ref_grads[name]).max() > 1e-6 * np.abs(ref_grads[name]).max()
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_student_forward_gathers_once(self, monkeypatch, mode):
@@ -540,58 +584,26 @@ class TestGatherMatchesAllFrames:
         gather = prompter.frame_keys
         monkeypatch.setattr(prompter, "frame_keys", lambda *args: calls.append(1) or gather(*args))
         trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:2]), cfg, mode,
-                                tau=0.5, rng=np.random.default_rng(0))
+                                rng=np.random.default_rng(0))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("straight_through", [True, False])
-    def test_key_count_follows_the_mask(self, straight_through):
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_key_count_follows_the_mask(self, sampled):
+        # the Gumbel-max pick of training or the argmax of inference: either
+        # way the keys are the S picked frames' tokens
         pcfg = prompter.FramePrompterConfig(frames=8, segments=4, patches=2, d_model=3)
         rng = np.random.default_rng(0)
-        logits = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-        mask = prompter.sample_frames(logits, replace(pcfg, straight_through=straight_through),
-                                      tau=0.5, rng=rng)
+        mask = prompter.sample_frames(Tensor(rng.normal(size=(2, 4, 2))), pcfg, rng=rng if sampled else None)
         x_tokens = Tensor(rng.normal(size=(2, 8, 2, 3)))
-        keys, key_mask = prompter.frame_keys(x_tokens, mask)
-        if straight_through:
-            picked = np.array(mask.selected)
-            assert keys.shape == (2, 4 * 2, 3)
-            assert np.array_equal(keys.data.reshape(2, 4, 2, 3),
-                                  x_tokens.data[np.arange(2)[:, None], picked])
-            assert np.array_equal(key_mask.data, np.ones((2, 8)))
-        else:
-            assert keys.shape == (2, 8 * 2, 3)
-            assert np.array_equal(key_mask.data, np.repeat(mask.soft.data, 2, axis=1))
-        backward(T.sum_all(T.mul(key_mask, Tensor(rng.normal(size=key_mask.shape)))))
-        assert np.any(logits.grad != 0.0)
-
-
-def project_then_gather_forward(bundle, batch, cfg, mode, tau=None, rng=None):
-    """Reference student forward in the earlier order: project every frame's
-    features to d_model, then gather the keys from the projected tokens."""
-    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
-    tokens = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
-    text = surrogates.encode_text(batch.questions, bundle.text_enc)
-    if bundle.prompter_params is not None:
-        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      tau=tau if mode == "train" else None, rng=rng)
-    else:
-        mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
-    vis, key_mask = prompter.frame_keys(tokens, mask)
-    x_student = qformer.qformer_forward(bundle.student_qf, vis, text, visual_key_mask=key_mask)
-    answer_input = x_student
-    if bundle.prompter_params is not None:
-        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_mask=key_mask)
-        answer_input = T.add(guide, x_student)
-    choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
-    return surrogates.score_answers(answer_input, choices, bundle.answer), x_student, mask
+        keys = prompter.frame_keys(x_tokens, mask)
+        picked = np.array(mask.selected)
+        assert keys.shape == (2, 4 * 2, 3)
+        assert np.array_equal(keys.data.reshape(2, 4, 2, 3), x_tokens.data[np.arange(2)[:, None], picked])
 
 
 def with_selection(cfg, selection):
-    """`cfg` with a straight-through or strictly relaxed selector, or none."""
-    if selection == "uniform":
-        return replace(cfg, use_prompter=False)
-    return replace(cfg, prompter_cfg=replace(cfg.prompter_cfg,
-                                             straight_through=selection == "straight_through"))
+    """`cfg` with the learned selector, or with uniform picks."""
+    return replace(cfg, use_prompter=selection == "selector")
 
 
 class TestProjectAfterGather:
@@ -600,14 +612,10 @@ class TestProjectAfterGather:
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
-    @pytest.mark.parametrize("selection", ["straight_through", "relaxed", "uniform"])
+    @pytest.mark.parametrize("selection", ["selector", "uniform"])
     def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill, selection):
         cfg = with_selection(GEOMETRIES[geometry](lambda_distill=lambda_distill), selection)
-        result = student_loss_and_grads(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(trainer, "student_forward", project_then_gather_forward)
-            reference = student_loss_and_grads(cfg)
-        assert mismatched_names(result, reference) == []
+        assert mismatched_gradients(cfg, monkeypatch, reference_forward) == []
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
@@ -616,18 +624,14 @@ class TestProjectAfterGather:
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:8])
         logits, _, mask = trainer.student_forward(bundle, batch, cfg, "infer")
-        ref_logits, _, ref_mask = project_then_gather_forward(bundle, batch, cfg, "infer")
+        ref_logits, _, ref_mask = reference_forward(bundle, batch, cfg, "infer")
         assert np.array_equal(logits.data, ref_logits.data)
         assert mask.selected == ref_mask.selected
 
-    @pytest.mark.parametrize("mode, selection", [
-        ("infer", "straight_through"),
-        ("train", "straight_through"),
-        ("train", "relaxed"),
-    ], ids=["infer", "train_straight_through", "train_relaxed"])
-    def test_projection_rows(self, monkeypatch, mode, selection):
-        # the student projection reads B*S*N rows unless the mask is strictly relaxed
-        cfg = with_selection(tiny_config(), selection)
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_projection_rows(self, monkeypatch, mode):
+        # the student projection reads B*S*N rows
+        cfg = tiny_config()
         bundle = trainer.build_models(cfg)
         b = 2
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:b])
@@ -645,8 +649,110 @@ class TestProjectAfterGather:
         else:
             trainer.student_forward(bundle, batch, cfg, mode)
         pcfg = cfg.prompter_cfg
-        frames = pcfg.frames if selection == "relaxed" else pcfg.segments
-        assert rows == [b * frames * pcfg.patches]
+        assert rows == [b * pcfg.segments * pcfg.patches]
+
+
+class TestTeacherTargets:
+    """The student step's one teacher pass: the distillation target and the
+    saliency the selector's labels come from."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_target_matches_plain_teacher_bitwise(self, geometry):
+        cfg = GEOMETRIES[geometry]()
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        target, saliency = trainer.teacher_targets(bundle, batch, cfg)
+        _, plain = trainer.teacher_forward(bundle, batch, cfg)
+        assert np.array_equal(target.data, plain.data) and not target.requires_grad
+        assert saliency.shape == (4, cfg.prompter_cfg.frames)
+        # the frozen teacher takes no gradient from its backward
+        assert all(p.grad is None for p in bundle.named_params().values())
+
+    def test_saliency_is_the_frame_bias_gradient(self):
+        # finite differences of the teacher's answer loss as one frame's
+        # tokens all get the same extra bias
+        cfg = tiny_config()
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:2])
+        _, saliency = trainer.teacher_targets(bundle, batch, cfg)
+        b, t, n, _ = batch.raw.shape
+        eps = 1e-5
+
+        def loss(bias):
+            logits, _ = trainer.teacher_forward(bundle, batch, cfg, key_bias=Tensor(bias))
+            return surrogates.vqa_loss(logits, batch.answers).item()
+
+        numeric = np.zeros((b, t))
+        for i in range(b):
+            for f in range(t):
+                bump = np.zeros((b, t, n))
+                bump[i, f] = eps
+                numeric[i, f] = (loss(bump.reshape(b, t * n)) - loss(-bump.reshape(b, t * n))) / (2 * eps)
+        assert np.allclose(saliency, numeric, rtol=1e-5, atol=1e-10)
+
+
+class TestStudentLossTerms:
+    """The student loss is the answer loss, plus lambda * distillation with a
+    decoder, plus, with a selector, the cross entropy of the segment logits
+    against each segment's lowest-saliency frame; one teacher pass per step
+    gives every teacher-side term."""
+
+    @pytest.mark.parametrize("arm", sorted(STAGE_ARMS))
+    def test_loss_is_the_sum_of_its_terms(self, arm):
+        cfg = tiny_config(**{"lambda_distill": 0.5, **STAGE_ARMS[arm]})
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        loss, _, fields = trainer.student_loss(bundle, batch, cfg, 0, np.random.default_rng(8))
+
+        rng = np.random.default_rng(8)
+        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train", rng=rng)
+        expect = surrogates.vqa_loss(logits, batch.answers).item()
+        assert fields["loss_vqa"] == expect
+        if bundle.decoder is not None:
+            _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
+            expect += cfg.lambda_distill * qformer.distill_loss(bundle.decoder, x_student, x_teacher).item()
+        if bundle.prompter_params is not None:
+            _, saliency = trainer.teacher_targets(bundle, batch, cfg)
+            fps = cfg.prompter_cfg.frames_per_segment
+            labels = saliency.reshape(4, cfg.prompter_cfg.segments, fps).argmin(axis=2)
+            logp = mask.logits.data - np.log(np.exp(mask.logits.data).sum(axis=2, keepdims=True))
+            expect += -np.take_along_axis(logp, labels[..., None], axis=2).mean()
+        assert loss.item() == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("use_prompter, lambda_distill, passes", [
+        (True, 1.0, 1), (True, 0.0, 1), (False, 1.0, 1), (False, 0.0, 0),
+    ], ids=["default", "no_distill", "uniform_picks", "uniform_no_distill"])
+    def test_one_teacher_pass_per_step(self, monkeypatch, use_prompter, lambda_distill, passes):
+        cfg = tiny_config(use_prompter=use_prompter, lambda_distill=lambda_distill)
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        calls = []
+        forward = trainer.teacher_forward
+        monkeypatch.setattr(trainer, "teacher_forward",
+                            lambda *args, **kw: calls.append(kw.get("key_bias") is not None) or forward(*args, **kw))
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:2])
+        trainer.student_loss(bundle, batch, cfg, 0, np.random.default_rng(0))
+        # only a selector needs the saliency, so only its pass takes the bias
+        assert calls == [use_prompter] * passes
+
+    def test_audit_guards_the_teacher_backward(self, monkeypatch):
+        # an unfrozen teacher parameter takes gradient from the saliency
+        # backward; the audit after the step's backward names it
+        cfg = tiny_config()
+        train, val = synth.generate(cfg.data)
+        teacher = fake_checkpoint(cfg, trainer.STAGE_TEACHER)
+        loss_fn = trainer.student_loss
+
+        def leaky_loss(bundle, *args):
+            bundle.teacher_proj.requires_grad = True
+            return loss_fn(bundle, *args)
+
+        monkeypatch.setattr(trainer, "student_loss", leaky_loss)
+        with pytest.raises(trainer.FrozenGradientError, match="'teacher.proj'"):
+            trainer.train_student(cfg, train, val, teacher)
 
 
 def load_spans():
