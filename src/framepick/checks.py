@@ -109,11 +109,11 @@ def run_qformer_suite(seed: int = 0, tol: float = 1e-5, instances: int = 3):
 
 def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     """The stage-2 training loss (`trainer.student_loss`) on a 2-sample batch,
-    over every coordinate of six student-side parameters: the first fc
-    weights of the selector's head and frame embedding, the guide
-    attention's query weight, the student queries, the first fc weight of
-    the distillation decoder and the student projection; and the teacher's
-    answer loss over the zero key bias whose gradient is the saliency.
+    over every coordinate of five student-side parameters: the first fc
+    weights of the selector's head and frame embedding, the student
+    queries, the first fc weight of the distillation decoder and the student
+    projection; and the teacher's answer loss over the zero key bias whose
+    gradient is the saliency.
 
     The loss is smooth while no perturbation moves a hard pick. Each
     evaluation draws its Gumbel noise from a fresh generator with the same
@@ -138,11 +138,9 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
             mlp.steps[0] = ("fc", x, mlp.steps[0][2])
         return mlp.steps[0][1], put
 
-    guide = bundle.prompter_params.guide_attn
     targets = {
         "select_head": first_fc_weight(bundle.prompter_params.select_head),
         "embed": first_fc_weight(bundle.prompter_params.embed),
-        "guide_wq": (guide.wq, lambda x: setattr(guide, "wq", x)),
         "student_queries": (bundle.student_qf.query_tokens,
                             lambda x: setattr(bundle.student_qf, "query_tokens", x)),
         "decoder_fc": first_fc_weight(bundle.decoder.decoder),

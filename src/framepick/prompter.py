@@ -1,14 +1,15 @@
-"""Text-guided frame selection.
+"""Frame selection, text-blind for now.
 
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
 vector, score the frames of each of S contiguous temporal segments, and
 pick one frame per segment (`select_frames`, through `sample_frames`, the
-one pick rule). This module builds every `SelectionMask`, also the
-no-selector arms' fixed pick (`uniform_mask`). `frame_keys` gathers the
-picked frames' tokens from per-frame features of any width. The student
-forward calls it once, on the frozen visual features, projects only the
-keys it returns, and fuses them with the question text through
-`guide_attn` and through the student fusion.
+one pick rule). The selector reads no text until ROADMAP item 5: the
+question reaches only the student fusion, after the pick. This module
+builds every `SelectionMask`, also the no-selector arms' fixed pick
+(`uniform_mask`). `frame_keys` gathers the picked frames' tokens from
+per-frame features of any width. The student forward calls it once, on
+the frozen visual features, projects only the keys it returns, and fuses
+them with the question text in the student fusion.
 
 The pick is hard in training and at inference: training takes the
 Gumbel-max pick (the argmax of the log-probabilities plus Gumbel noise),
@@ -36,7 +37,7 @@ class FramePrompterConfig:
     segments: int = 4           # S, also the selected-frame count (one per segment)
     patches: int = 4            # N, patch tokens per frame
     channels: int = 8           # C, channels per patch from the visual encoder
-    d_model: int = 64
+    d_model: int = 64           # width of the fusion models; the text-blind selector does not read it
     embed_hidden: int = 32
 
     def __post_init__(self):
@@ -55,11 +56,11 @@ class FramePrompterConfig:
 
 @dataclass
 class FramePrompterParams:
-    """Learnable state: frame embedding, selection head, text-guidance attention."""
+    """Learnable state of the selector: frame embedding and selection head.
+    No text weights: the selector reads no question until ROADMAP item 5."""
 
     embed: nn.MlpParams
     select_head: nn.MlpParams
-    guide_attn: nn.AttentionParams
 
     @classmethod
     def init(cls, cfg: FramePrompterConfig, rng: np.random.Generator) -> "FramePrompterParams":
@@ -72,14 +73,12 @@ class FramePrompterParams:
         ])
         # small init keeps the initial per-segment distribution near uniform
         head = nn.MlpParams([nn.fc_step(cfg.frames_per_segment * n, cfg.frames_per_segment, rng, scale=0.01)])
-        guide = nn.AttentionParams.init(cfg.d_model, rng)
-        return cls(embed=embed, select_head=head, guide_attn=guide)
+        return cls(embed=embed, select_head=head)
 
     def named(self, prefix: str) -> dict:
         out = {}
         out.update(self.embed.named(f"{prefix}.embed"))
         out.update(self.select_head.named(f"{prefix}.select"))
-        out.update(self.guide_attn.named(f"{prefix}.guide"))
         return out
 
 
@@ -88,13 +87,11 @@ class SelectionMask:
     """One frame selection for a batch, built by `sample_frames` or
     `uniform_mask` (tests build masks by hand).
 
-    hard: [B, T] 0/1 array with one 1 per segment, segment-major, so
-    reshaping it to [B, S, T/S] gives each segment's one-hot; selected:
-    per-row sorted frame indices, S each; logits: the selector's [B, S, T/S]
-    segment scores the pick was taken from, None for `uniform_mask`.
+    selected: per-row sorted frame indices, S each; logits: the selector's
+    [B, S, T/S] segment scores the pick was taken from, None for
+    `uniform_mask`.
     """
 
-    hard: np.ndarray
     selected: list
     logits: Tensor | None = None
 
@@ -116,13 +113,10 @@ def segment_logits(embedded: Tensor, params: FramePrompterParams, cfg: FrameProm
 
 
 def _mask(pick: np.ndarray, cfg: FramePrompterConfig, logits: Tensor | None = None) -> SelectionMask:
-    """Per-segment offsets [B, S] -> the segment-major [B, T] one-hot and
-    the frame indices, which increase across segments."""
-    b = pick.shape[0]
-    hard = np.zeros((b, cfg.segments, cfg.frames_per_segment))
-    np.put_along_axis(hard, pick[..., None], 1.0, axis=-1)
+    """Per-segment offsets [B, S] -> the frame indices, which increase
+    across segments."""
     indices = pick + np.arange(cfg.segments) * cfg.frames_per_segment
-    return SelectionMask(hard=hard.reshape(b, cfg.frames), selected=indices.tolist(), logits=logits)
+    return SelectionMask(selected=indices.tolist(), logits=logits)
 
 
 def uniform_mask(b: int, cfg: FramePrompterConfig) -> SelectionMask:

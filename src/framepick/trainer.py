@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn, prompter, qformer, surrogates, synth
+from . import prompter, qformer, surrogates, synth
 from . import tensor as T
 from .prompter import FramePrompterConfig, FramePrompterParams
 from .qformer import DistillDecoderParams, QFormerParams
@@ -235,8 +235,9 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     picked frames once, from the frozen C-wide features, and only those
     S * N keys per video are projected to d_model (the projection is per
     token, so this equals projecting every frame, then gathering). The
-    student fusion and, with a selector, the guide attention read the same
-    keys, and the guide's output is added to the fusion output.
+    student fusion reads them with the question, and its output is what the
+    answer head scores: both arms run this one model and differ only in
+    their picks.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -252,17 +253,8 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
     vis = T.matmul(prompter.frame_keys(feats, mask), bundle.student_proj)  # [B, S * N, d]
     x_student = qformer.qformer_forward(bundle.student_qf, vis, text)
-
-    answer_input = x_student
-    if bundle.prompter_params is not None:
-        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis)
-        # guide first, so backward sums the guide's key and value gradients
-        # at `vis` before adding the fusion's; `student.proj` then takes one
-        # product of the keys with that sum. The pinned student digests
-        # depend on this order.
-        answer_input = T.add(guide, x_student)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
-    logits = surrogates.score_answers(answer_input, choices, bundle.answer)
+    logits = surrogates.score_answers(x_student, choices, bundle.answer)
     return logits, x_student, mask
 
 

@@ -124,9 +124,9 @@ class TestGumbelHard:
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
         mask = hard_pick(logits, cfg, np.zeros(logits.shape))
         expect = logits.data.argmax(axis=-1)
-        got = mask.hard.reshape(logits.shape).argmax(axis=-1)
+        got = np.array(mask.selected) - np.arange(cfg.segments) * cfg.frames_per_segment
         assert np.array_equal(expect, got)
-        assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments, cfg.segments])
+        assert [len(row) for row in mask.selected] == [cfg.segments, cfg.segments]
 
     def test_selection_frequencies_match_softmax(self):
         # Gumbel-max property: empirical frequencies converge to softmax(logits);
@@ -137,7 +137,7 @@ class TestGumbelHard:
         draws = 100_000
         logits = Tensor(np.tile(np.log(probs), (draws, 1, 1)))
         mask = sample_frames(logits, cfg, rng=rng)
-        freqs = mask.hard.reshape(logits.shape).mean(axis=0).ravel()
+        freqs = np.bincount(np.array(mask.selected).ravel(), minlength=3) / draws
         assert np.all(np.abs(freqs - probs) <= 0.01), freqs
 
     def test_shift_invariance_of_selection(self, cfg, rng):
@@ -161,12 +161,14 @@ class TestPickGradient:
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
         mask = sample_frames(logits, cfg, rng=rng)
         assert mask.logits is logits
-        assert isinstance(mask.hard, np.ndarray)
+        # the picks are plain ints: no graph hangs off them
+        assert all(type(i) is int for row in mask.selected for i in row)
         labels = np.array(mask.selected).reshape(-1) % cfg.frames_per_segment
         flat = T.reshape(mask.logits, (labels.size, cfg.frames_per_segment))
         backward(T.cross_entropy(flat, labels))
         p = T.softmax(logits.detach(), axis=-1).data
-        expect = (p - mask.hard.reshape(logits.shape)) / labels.size
+        onehot = np.eye(cfg.frames_per_segment)[labels].reshape(logits.shape)
+        expect = (p - onehot) / labels.size
         assert np.allclose(logits.grad, expect, atol=1e-15)
 
 
@@ -189,7 +191,7 @@ class TestSampleFramesInputs:
         logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
         mask = sample_frames(logits, cfg)
         zero = hard_pick(logits, cfg, np.zeros(logits.shape))
-        assert np.array_equal(mask.hard, zero.hard) and mask.selected == zero.selected
+        assert mask.selected == zero.selected
         # the scores without their graph, which the mask would keep alive
         assert np.array_equal(mask.logits.data, logits.data) and not mask.logits.requires_grad
         assert zero.logits is logits
@@ -203,64 +205,66 @@ class TestUniformMask:
         picks = list(synth.uniform_frame_indices(t, s))
         assert mask.selected == [picks] * 3
         assert mask.logits is None
-        expect = np.zeros((3, t))
-        expect[:, picks] = 1.0
-        assert np.array_equal(mask.hard, expect)
+        # one pick in each segment, in segment order
+        assert [p // cfg.frames_per_segment for p in picks] == list(range(s))
 
 
-def guide_fuse(x_tokens, mask, text, params):
-    """The guide path of `trainer.student_forward`: the mask's keys, then
-    the text-queried guide attention over them."""
-    return nn.cross_attention(params.guide_attn, text, frame_keys(x_tokens, mask))
+@pytest.fixture
+def attn(cfg, rng):
+    """A standalone text-to-frames attention that reads the picked keys."""
+    return nn.AttentionParams.init(cfg.d_model, rng)
 
 
-def select_and_guide(x, tokens, text, params, cfg, **kw):
-    """`select_frames`, then the guide over its picks: (fused, mask)."""
+def keys_fuse(x_tokens, mask, text, attn):
+    """The mask's keys, then a text-queried attention over them."""
+    return nn.cross_attention(attn, text, frame_keys(x_tokens, mask))
+
+
+def select_and_fuse(x, tokens, text, params, attn, cfg, **kw):
+    """`select_frames`, then the attention over its picks: (fused, mask)."""
     mask = select_frames(x, params, cfg, **kw)
-    return guide_fuse(tokens, mask, text, params), mask
+    return keys_fuse(tokens, mask, text, attn), mask
 
 
 class TestApplyMaskAndFuse:
     """The selection mask applied as keys (`frame_keys`) and fused with the
-    text by the guide attention."""
+    text by an attention."""
 
-    def test_full_mask_matches_unmasked_attention(self, cfg, params, rng):
+    def test_full_mask_matches_unmasked_attention(self, cfg, attn, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
-        full = SelectionMask(hard=np.ones((1, cfg.frames)), selected=[list(range(cfg.frames))])
-        fused = guide_fuse(tokens, full, text, params)
+        full = SelectionMask(selected=[list(range(cfg.frames))])
+        fused = keys_fuse(tokens, full, text, attn)
         b, t, n, d = tokens.shape
-        plain = nn.cross_attention(params.guide_attn, text, T.reshape(tokens, (b, t * n, d)))
+        plain = nn.cross_attention(attn, text, T.reshape(tokens, (b, t * n, d)))
         assert np.array_equal(fused.data, plain.data)
 
-    def test_one_hot_mask_ignores_other_frames(self, cfg, params, rng):
+    def test_one_hot_mask_ignores_other_frames(self, cfg, attn, rng):
         tokens = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
-        hard = np.zeros((1, cfg.frames))
-        hard[0, 3] = 1.0
-        mask = SelectionMask(hard=hard, selected=[[3]])
-        out = guide_fuse(Tensor(tokens), mask, text, params)
+        mask = SelectionMask(selected=[[3]])
+        out = keys_fuse(Tensor(tokens), mask, text, attn)
         perturbed = tokens.copy()
         perturbed[0, 0] += 50.0
         perturbed[0, 6] -= 9.0
-        out2 = guide_fuse(Tensor(perturbed), mask, text, params)
+        out2 = keys_fuse(Tensor(perturbed), mask, text, attn)
         assert np.array_equal(out.data, out2.data)
 
-    def test_empty_selection_rejected(self, cfg, params, rng):
+    def test_empty_selection_rejected(self, cfg, attn, rng):
         tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
-        empty = SelectionMask(hard=np.zeros((1, cfg.frames)), selected=[[]])
+        empty = SelectionMask(selected=[[]])
         with pytest.raises(ValueError, match="no attendable keys"):
-            guide_fuse(tokens, empty, text, params)
+            keys_fuse(tokens, empty, text, attn)
 
 
 class TestSelectFrames:
-    def test_infer_is_deterministic(self, cfg, params, rng):
+    def test_infer_is_deterministic(self, cfg, params, attn, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
         tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
-        a_out, a_mask = select_and_guide(x, tokens, text, params, cfg)
-        b_out, b_mask = select_and_guide(x, tokens, text, params, cfg)
+        a_out, a_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
+        b_out, b_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
         assert np.array_equal(a_out.data, b_out.data)
         assert a_mask.selected == b_mask.selected
 
@@ -278,7 +282,8 @@ class TestSelectFrames:
     def test_train_mode_hard_row_sums(self, cfg, params, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
         mask = select_frames(x, params, cfg, rng=rng)
-        assert np.array_equal(mask.hard.sum(axis=1), [cfg.segments] * 2)
+        fps = cfg.frames_per_segment
+        assert [[i // fps for i in row] for row in mask.selected] == [list(range(cfg.segments))] * 2
         assert mask.logits.shape == (2, cfg.segments, cfg.frames_per_segment)
 
     def test_selection_gradient_reaches_select_head(self, cfg, rng):
@@ -294,8 +299,7 @@ class TestSelectFrames:
         def f(w):
             p = FramePrompterParams(
                 embed=params.embed,
-                select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]),
-                guide_attn=params.guide_attn)
+                select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]))
             mask = select_frames(Tensor(x), p, cfg, noise=noise)
             return T.cross_entropy(T.reshape(mask.logits, (cfg.segments, cfg.frames_per_segment)), labels)
 

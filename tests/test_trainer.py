@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framepick import nn, prompter, qformer, surrogates, synth, trainer
+from framepick import prompter, qformer, surrogates, synth, trainer
 from framepick import tensor as T
 from framepick.tensor import Tensor, backward
 
@@ -143,17 +143,17 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "185e26378464a0f6f9925220d3b6597d14f866cc34dba37ff84a96bed7cbab76",
+            "c5f396ab70f4988c8a90f3fb5d2ba463987d8cbc756c66716f5ddd6eb266579d",
         "student/student.ckpt":
-            "0dbaaadba104030b58a48229d4d42823498dd253c1a222557077c7378d911ff4",
+            "31ac80538861b8d4d0c31ee15cc94ccf9b9e9d648e023e2822f1d3ff29882823",
         "student/student_step2.ckpt":
-            "f701582ab6820b2ebb9a323067cda748b3e9ed00c870ca3c0d29db3a8532e633",
+            "d57c6f9bcb148c354ce58c7ce2a4bc87b4cef89b5c7c1a4e98d58fd13ce033d1",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "388523474a609a414afabcb3300d7461bb9cd929fa92ce7522e2405630de3fca",
+            "3b88b3252eb3424e2e3076d28c0e82a5e2e7d798b3996b9add65e0ca25a6b115",
         "teacher/teacher_step2.ckpt":
-            "33b54bec2a5f54ec27c7f95acb979e94cb3a293537cdfaeb739e55afbd847edf",
+            "1ff0b23f12939c56c799e55f0a59a53b56dcb3c7656fdf4060cb20fd7333e029",
     },
     "uniform_picks": {
         "student/metrics.csv":
@@ -171,17 +171,17 @@ STAGE_DIGESTS = {
     },
     "no_distill": {
         "student/metrics.csv":
-            "c7fb859845fa5fef0429390bfb52d1ef132da12cc3487e498aa00abe229ead54",
+            "62952dcf821b9e53df453783fab6684d09f2bf09292ae418c09ecc467a0f1fef",
         "student/student.ckpt":
-            "3eaaf204d57ee9c4dd215425f85575f18ae74adadb5013956227aa1b59ef9fc9",
+            "01450d34eeb000dbe7a769456a2428bebc919191fec9576313c91ea62ea5200f",
         "student/student_step2.ckpt":
-            "10d4e141715013cb2e189b8bab4ed47f0b98d5729d573f7e17ee8bdd34e10880",
+            "3fcd2a696bf660ad94c6fe3040645c13d21dc26d23bad2b47e4fa0db31e01193",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "4bb0ef73f9635c4b3cff9a249c95d8fae90316e7f476a17908e4a9afa5e95738",
+            "a840a5fa262870dc9773c6e01b2d3bd8f2e1ce5ae64e8ad02ee3372a521ec357",
         "teacher/teacher_step2.ckpt":
-            "f1a39e59e1cf1b41f443923cac1dec7e18ad8a441d30c2f21b8db78cd7569bcb",
+            "457ea79078fe04717832a8624a2151af0f28a299e11af2069c2524d2e0e359c1",
     },
 }
 
@@ -526,17 +526,15 @@ def reference_forward(bundle, batch, cfg, mode, rng=None, all_frames=False, key_
         b, t, n, d = tokens.shape
         vis = T.reshape(tokens, (b, t * n, d))
         if key_mask:
-            key_bias = Tensor(np.repeat(np.where(mask.hard == 1.0, 0.0, -1e9), n, axis=1))
+            picked = np.full((b, t), -1e9)
+            np.put_along_axis(picked, np.array(mask.selected), 0.0, axis=1)
+            key_bias = Tensor(np.repeat(picked, n, axis=1))
         fusion = replace(fusion, frame_budget=t)   # shares the student's parameter tensors
     else:
         vis = prompter.frame_keys(tokens, mask)
     x_student = qformer.qformer_forward(fusion, vis, text, key_bias=key_bias)
-    answer_input = x_student
-    if bundle.prompter_params is not None:
-        guide = nn.cross_attention(bundle.prompter_params.guide_attn, text, vis, key_bias=key_bias)
-        answer_input = T.add(guide, x_student)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
-    return surrogates.score_answers(answer_input, choices, bundle.answer), x_student, mask
+    return surrogates.score_answers(x_student, choices, bundle.answer), x_student, mask
 
 
 def all_frames_forward(bundle, batch, cfg, mode, rng=None, key_mask=True):
@@ -552,9 +550,9 @@ GEOMETRIES = {"T8": tiny_config, "T32": default_geometry_config}
 
 
 class TestGatherMatchesAllFrames:
-    """Reading only the picked frames (in the guide and in the student
-    fusion) gives the loss and gradients of reading every frame with the
-    unpicked ones removed by a key bias."""
+    """Reading only the picked frames in the student fusion gives the loss
+    and gradients of reading every frame with the unpicked ones removed by
+    a key bias."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
@@ -572,12 +570,12 @@ class TestGatherMatchesAllFrames:
                           lambda *args, **kw: all_frames_forward(*args, **kw, key_mask=False))
             ref_loss, ref_grads = student_loss_and_grads(cfg)
         assert abs(loss - ref_loss) > 1e-6 * abs(ref_loss)
-        for name in ("prompter.guide.wk", "student.qf.self.wk", "student.proj"):
+        for name in ("student.qf.self.wk", "student.proj"):
             assert np.abs(grads[name] - ref_grads[name]).max() > 1e-6 * np.abs(ref_grads[name]).max()
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_student_forward_gathers_once(self, monkeypatch, mode):
-        # the guide and the student fusion share one frame_keys result
+        # the student fusion reads the one frame_keys result
         cfg = tiny_config()
         train, _ = synth.generate(cfg.data)
         calls = []
@@ -755,6 +753,48 @@ class TestStudentLossTerms:
             trainer.train_student(cfg, train, val, teacher)
 
 
+class TestOneStudentForBothArms:
+    """The selector and uniform arms run one student model: given the same
+    picks they compute the same thing, and the selector learns only from
+    its label cross entropy."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_same_picks_give_bitwise_equal_outputs(self, monkeypatch, geometry):
+        cfg = GEOMETRIES[geometry]()
+        selector = trainer.build_models(cfg)
+        uniform = trainer.build_models(replace(cfg, use_prompter=False))
+        assert selector.prompter_params is not None and uniform.prompter_params is None
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        monkeypatch.setattr(prompter, "select_frames",
+                            lambda feats, params, pcfg, **kw: prompter.uniform_mask(feats.shape[0], pcfg))
+        logits, fused, mask = trainer.student_forward(selector, batch, cfg, "infer")
+        ref_logits, ref_fused, ref_mask = trainer.student_forward(uniform, batch, cfg, "infer")
+        assert mask.selected == ref_mask.selected
+        assert np.array_equal(fused.data, ref_fused.data)
+        assert np.array_equal(logits.data, ref_logits.data)
+
+    def test_answer_and_distillation_losses_leave_the_selector_alone(self):
+        cfg = tiny_config()
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
+        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train",
+                                                          rng=np.random.default_rng(2))
+        loss = T.add(surrogates.vqa_loss(logits, batch.answers),
+                     qformer.distill_loss(bundle.decoder, x_student, x_teacher) * cfg.lambda_distill)
+        backward(loss)
+        named = bundle.named_params()
+        selector = sorted(name for name in named if name.startswith("prompter."))
+        assert selector and all(named[name].grad is None for name in selector)
+        assert named["student.proj"].grad is not None
+        # the label cross entropy is what reaches them
+        fps = cfg.prompter_cfg.frames_per_segment
+        labels = np.zeros(batch.answers.size * cfg.prompter_cfg.segments, dtype=int)
+        backward(T.cross_entropy(T.reshape(mask.logits, (labels.size, fps)), labels))
+        assert all(named[name].grad is not None for name in selector)
+
+
 def load_spans():
     """The benchmark's span tracer, loaded from its file as the benchmark runs it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -777,5 +817,8 @@ def test_benchmark_hooks_resolve():
     finally:
         tracer.uninstall()
     assert tracer.counts["qformer_calls"] == 2
+    # one self-attention and one cross-attention per fusion: the selector
+    # adds none
+    assert tracer.counts["attention_calls"] == 4
     assert tracer.counts["student_fuse_calls"] == 1
     assert tracer.counts["picks"] == cfg.prompter_cfg.segments
