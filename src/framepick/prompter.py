@@ -128,7 +128,7 @@ def uniform_mask(b: int, cfg: FramePrompterConfig) -> SelectionMask:
 def sample_frames(logits: Tensor, cfg: FramePrompterConfig, rng: np.random.Generator | None = None,
                   noise: np.ndarray | None = None) -> SelectionMask:
     """One frame per segment from [B, S, T/S] logits: the argmax of
-    log softmax(logits) + g, with the logits kept as the mask's `logits`.
+    logits + g, with the logits kept as the mask's `logits`.
 
     In training g is Gumbel noise (`noise`, else drawn from `rng`): the
     Gumbel-max pick, which draws each frame with its softmax probability.
@@ -138,7 +138,7 @@ def sample_frames(logits: Tensor, cfg: FramePrompterConfig, rng: np.random.Gener
     """
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("sample_frames requires finite logits")
-    z = T.log_softmax(logits.detach(), axis=-1).data
+    z = logits.data
     if noise is None and rng is None:
         return _mask(z.argmax(axis=-1), cfg, logits.detach())
     if noise is None:

@@ -276,18 +276,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _op(out_data, (x,), bw)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def bw(g):
-        _acc(x, g - soft * g.sum(axis=axis, keepdims=True))
-
-    return _op(out_data, (x,), bw)
-
-
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 

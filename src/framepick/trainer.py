@@ -3,13 +3,13 @@
 Stage 1 trains the teacher fusion model (plus text encoder and answer head)
 on all frames with the answer loss only. Stage 2 freezes those and trains
 the student fusion model, the frame selector and the distillation decoder
-against answer loss + lambda * feature-distillation loss + the selector's
-cross entropy on the frozen teacher's saliency labels. Both stages run one
-loop (`_run_stage`);
-`train_teacher` and `train_student` give it their model, random stream,
-step count and loss (`teacher_loss`, `student_loss`). Both stages are
-bitwise deterministic functions of (seed, config) and resumable from
-mid-run checkpoints, also into the run's own output directory.
+against the sum of the answer loss, the feature-distillation loss and the
+selector's cross entropy on the frozen teacher's saliency labels, each at
+weight 1. Both stages run one loop (`_run_stage`); `train_teacher` and
+`train_student` give it their model, random stream, step count and loss
+(`teacher_loss`, `student_loss`). Both stages are bitwise deterministic
+functions of (seed, config) and resumable from mid-run checkpoints, also
+into the run's own output directory.
 """
 
 from __future__ import annotations
@@ -41,12 +41,9 @@ class TrainConfig:
     teacher_steps: int = 700
     student_steps: int = 700
     batch_size: int = 8
-    lambda_distill: float = 1.0
     use_prompter: bool = True
     eval_every: int = 200
-    eval_samples: int = 256
     checkpoint_every: int = 0     # 0: final checkpoint only
-    num_queries: int = 8          # learnable query tokens of each fusion model
     prompter_cfg: FramePrompterConfig = field(default_factory=FramePrompterConfig)
     data: synth.DatasetSpec = field(default_factory=synth.DatasetSpec)
 
@@ -55,10 +52,6 @@ class TrainConfig:
             raise ValueError("step counts must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.lambda_distill < 0:
-            raise ValueError("lambda_distill must be nonnegative")
-        if self.eval_samples < 1:
-            raise ValueError("eval_samples must be at least 1")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ValueError("eval_every and checkpoint_every must be nonnegative")
         # the prompter consumes the dataset's geometry
@@ -103,7 +96,7 @@ class ModelBundle:
     student_proj: Tensor
     student_qf: QFormerParams
     prompter_params: FramePrompterParams | None
-    decoder: DistillDecoderParams | None
+    decoder: DistillDecoderParams
 
     def named_params(self) -> dict:
         out = {"visual.projection": self.visual_enc.projection}
@@ -115,8 +108,7 @@ class ModelBundle:
         out.update(self.student_qf.named("student.qf"))
         if self.prompter_params is not None:
             out.update(self.prompter_params.named("prompter"))
-        if self.decoder is not None:
-            out.update(self.decoder.named("decoder"))
+        out.update(self.decoder.named("decoder"))
         return out
 
 
@@ -152,6 +144,10 @@ def set_stage(bundle: ModelBundle, stage: str) -> dict:
 # rows of the text encoder's positional table, so the longest token sequence
 # it embeds (synthetic questions and choices are one token long)
 TEXT_POSITIONS = 8
+# learnable query tokens of each fusion model
+NUM_QUERIES = 8
+# validation videos of each periodic evaluation; the final one reads them all
+EVAL_SAMPLES = 256
 
 
 def build_models(cfg: TrainConfig) -> ModelBundle:
@@ -171,19 +167,18 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     rng_t = stream(10)
     teacher_proj = Tensor(rng_t.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
-    teacher_qf = QFormerParams.init(d, cfg.num_queries, data.frames, data.patches, rng_t)
+    teacher_qf = QFormerParams.init(d, NUM_QUERIES, data.frames, data.patches, rng_t)
     text_enc = SurrogateTextEncoder.init(synth.VOCAB, d, TEXT_POSITIONS, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
     student_proj = Tensor(rng_s.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
                           requires_grad=True)
-    student_qf = QFormerParams.init(d, cfg.num_queries, cfg.prompter_cfg.segments, data.patches, rng_s)
+    student_qf = QFormerParams.init(d, NUM_QUERIES, cfg.prompter_cfg.segments, data.patches, rng_s)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, stream(30))
                        if cfg.use_prompter else None)
-    decoder = (DistillDecoderParams.init(d, d, stream(40))
-               if cfg.lambda_distill > 0 else None)
+    decoder = DistillDecoderParams.init(d, d, stream(40))
     return ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
                        teacher_proj=teacher_proj, teacher_qf=teacher_qf,
                        student_proj=student_proj, student_qf=student_qf,
@@ -551,8 +546,7 @@ def _draw_batch(samples, batch_size: int, rng: np.random.Generator) -> Batch:
     return make_batch([samples[int(i)] for i in idx])
 
 
-def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
-                 rng: np.random.Generator):
+def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, rng: np.random.Generator):
     """Stage 1 loss (answer loss on all frames), answer logits, MetricsRow fields."""
     logits, _ = teacher_forward(bundle, batch, cfg)
     loss = surrogates.vqa_loss(logits, batch.answers)
@@ -574,34 +568,30 @@ def teacher_targets(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     return fused.detach(), key_bias.grad.reshape(b, t, n).sum(axis=2)
 
 
-def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, step: int,
-                 rng: np.random.Generator):
+def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, rng: np.random.Generator):
     """Stage 2 loss, answer logits and MetricsRow fields.
 
-    Answer loss on the frames picked with `rng`, plus lambda * distillation
-    loss against the all-frames teacher with a decoder, plus, with a
-    selector, the cross entropy of its segment logits against each
-    segment's lowest-saliency frame (`teacher_targets`, one pass for both).
+    Answer loss on the frames picked with `rng`, plus the distillation loss
+    against the all-frames teacher, plus, with a selector, the cross entropy
+    of its segment logits against each segment's lowest-saliency frame
+    (`teacher_targets`, one pass for both); every term has weight 1.
     """
     fps = cfg.prompter_cfg.frames_per_segment
-    x_teacher = labels = None
+    labels = None
     if bundle.prompter_params is not None:
         x_teacher, saliency = teacher_targets(bundle, batch, cfg)
         labels = saliency.reshape(-1, fps).argmin(axis=1)  # [B * S], segment-major
-    elif bundle.decoder is not None:
+    else:
         _, x_teacher = teacher_forward(bundle, batch, cfg)
     logits, x_student, mask = student_forward(bundle, batch, cfg, "train", rng=rng)
     loss_vqa = surrogates.vqa_loss(logits, batch.answers)
-    loss, distill_val = loss_vqa, 0.0
-    if bundle.decoder is not None:
-        loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
-        loss = T.add(loss_vqa, loss_distill * cfg.lambda_distill)
-        distill_val = loss_distill.item()
+    loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
+    loss = T.add(loss_vqa, loss_distill)
     recall = None
     if labels is not None:
         loss = T.add(loss, T.cross_entropy(T.reshape(mask.logits, (labels.size, fps)), labels))
         recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes, cfg)))
-    return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": distill_val,
+    return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": loss_distill.item(),
                           "keyframe_recall": recall}
 
 
@@ -609,7 +599,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
                loss_fn, train_samples, val_samples, out_dir, resume_from: Checkpoint | None):
     """The training loop of both stages; returns the final val MetricsRow.
 
-    `loss_fn(bundle, batch, cfg, step, rng)` returns the scalar loss, the
+    `loss_fn(bundle, batch, cfg, rng)` returns the scalar loss, the
     answer logits and the stage's fields of that step's train MetricsRow.
     With out_dir, metrics go to its metrics.csv and checkpoints to
     f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps before the
@@ -645,7 +635,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             t0 = time.perf_counter()
             lr = cosine_lr(step, steps, LR, LR_MIN)
             batch = _draw_batch(train_samples, cfg.batch_size, rng)
-            loss, logits, fields = loss_fn(bundle, batch, cfg, step, rng)
+            loss, logits, fields = loss_fn(bundle, batch, cfg, rng)
             if not math.isfinite(loss.item()):
                 raise RuntimeError(f"non-finite loss at step {step}; aborting")
             backward(loss)
@@ -659,7 +649,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
                 writer.write(MetricsRow(step=step, split="train", accuracy=acc, lr=lr, **fields,
                                         wallclock_ms=(time.perf_counter() - t0) * 1e3))
             if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < steps:
-                row, _ = evaluate(bundle, cfg, val_samples[:cfg.eval_samples], stage, step=step + 1)
+                row, _ = evaluate(bundle, cfg, val_samples[:EVAL_SAMPLES], stage, step=step + 1)
                 writer.write(row)
             if (out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0
                     and (step + 1) < steps):
@@ -701,8 +691,9 @@ def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Ch
     """Stage 2: student fusion + selector + decoder against the frozen rest.
 
     Each step runs one teacher pass on the full frame set, which gives the
-    distillation target and the selector's saliency labels
-    (`teacher_targets`). Returns (bundle, final val MetricsRow).
+    distillation target and, with a selector, its saliency labels
+    (`teacher_targets`); `student_loss` weighs every term 1. Returns
+    (bundle, final val MetricsRow).
     """
     if teacher_ckpt.stage != STAGE_TEACHER:
         raise ValueError(f"student stage needs a teacher checkpoint, got stage {teacher_ckpt.stage!r}")

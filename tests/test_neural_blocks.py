@@ -115,18 +115,6 @@ class TestCrossAttention:
 
         assert grad_check(f, Tensor(np.zeros((1, 3))), tol=1e-5).passed
 
-    def test_soft_mask_gradient(self, rng):
-        # a soft key mask enters as its log, a key bias
-        params = make_attn(d=4, rng=rng)
-        queries = rng.normal(size=(1, 2, 4))
-        kv = rng.normal(size=(1, 3, 4))
-
-        def f(mask_logits):
-            log_mask = T.log_softmax(mask_logits, axis=-1)
-            return T.sum_all(nn.cross_attention(params, Tensor(queries), Tensor(kv), key_bias=log_mask))
-
-        assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-5).passed
-
     def test_key_bias_shape_mismatch(self, rng):
         params = make_attn(d=4, rng=rng)
         with pytest.raises(ValueError, match=r"key_bias shape \(1, 2\) does not match keys \(1, 3\)"):

@@ -103,18 +103,6 @@ class TestQFormerForward:
 
         assert grad_check(f, Tensor(np.zeros((1, 3))), tol=1e-5).passed
 
-    def test_soft_visual_mask_gradient(self, rng):
-        # a soft mask over the visual keys enters as its log, a key bias
-        params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
-        vis = rng.normal(size=(1, 3, 4))
-        text = rng.normal(size=(1, 2, 4))
-
-        def f(mask_logits):
-            log_mask = T.log_softmax(mask_logits, axis=-1)
-            return T.sum_all(qformer_forward(params, Tensor(vis), Tensor(text), key_bias=log_mask))
-
-        assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-5).passed
-
     def test_zero_key_bias_is_bitwise_neutral(self, rng):
         params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
         vis = Tensor(rng.normal(size=(2, 3, 4)))

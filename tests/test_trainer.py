@@ -145,50 +145,35 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "c5f396ab70f4988c8a90f3fb5d2ba463987d8cbc756c66716f5ddd6eb266579d",
         "student/student.ckpt":
-            "31ac80538861b8d4d0c31ee15cc94ccf9b9e9d648e023e2822f1d3ff29882823",
+            "91b7c716be9831009dd2a8de78d1a05c995b3012ddcdbcb5d30d62f823ba3e61",
         "student/student_step2.ckpt":
-            "d57c6f9bcb148c354ce58c7ce2a4bc87b4cef89b5c7c1a4e98d58fd13ce033d1",
+            "edf90a491191859dd3f0a3634585b2c7538b1bc4d8f51103b4769fd0c12e5562",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "3b88b3252eb3424e2e3076d28c0e82a5e2e7d798b3996b9add65e0ca25a6b115",
+            "8460271d9189877cc3576b8856a93ef842570f9818621d4494df1e04be9ed20e",
         "teacher/teacher_step2.ckpt":
-            "1ff0b23f12939c56c799e55f0a59a53b56dcb3c7656fdf4060cb20fd7333e029",
+            "2a086116aff008c21af33a20e5a12d7f2aaea8e0be3bdbe1ca40d6a1f3327608",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "d299b4b69cd755b41d5a4cce57785ffd12c450b8603fe444b73bd3d4342cc053",
         "student/student.ckpt":
-            "abb3c1b2bc77d6165c7160b69c79043deb3103cda213052df336251193570851",
+            "18c9cef30b51403bf83559b8cb25d7dd682af4b141215585df792ffa43bc7d88",
         "student/student_step2.ckpt":
-            "030e885cecf9e75fb5a4af5178dc91c8c6e43125e95a51b64831376eb947f8ea",
+            "895a811da999c2eccfbfdc31b15cfa7b7b3539384b7da87e2892d9825471c22f",
         "teacher/metrics.csv":
             "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
         "teacher/teacher.ckpt":
-            "84fdbaed748878099cb66b9873edb4910118bd705b7c4e0b67334feacea75ecb",
+            "aaf7d846c7b2530ee9d9d98419b1871dfa6755f041c5bab85505f69fc57d421d",
         "teacher/teacher_step2.ckpt":
-            "3584b27497fd24e12b4b899b5178dffc42df9e0b2e5604d746fa0c23af7d8b53",
-    },
-    "no_distill": {
-        "student/metrics.csv":
-            "62952dcf821b9e53df453783fab6684d09f2bf09292ae418c09ecc467a0f1fef",
-        "student/student.ckpt":
-            "01450d34eeb000dbe7a769456a2428bebc919191fec9576313c91ea62ea5200f",
-        "student/student_step2.ckpt":
-            "3fcd2a696bf660ad94c6fe3040645c13d21dc26d23bad2b47e4fa0db31e01193",
-        "teacher/metrics.csv":
-            "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
-        "teacher/teacher.ckpt":
-            "a840a5fa262870dc9773c6e01b2d3bd8f2e1ce5ae64e8ad02ee3372a521ec357",
-        "teacher/teacher_step2.ckpt":
-            "457ea79078fe04717832a8624a2151af0f28a299e11af2069c2524d2e0e359c1",
+            "fe4ef0c9b5ae22b4bcf302ca005c7a8be17c95d1b75feeb9bcf34fe62a1dfed6",
     },
 }
 
 STAGE_ARMS = {
     "default": {},
     "uniform_picks": {"use_prompter": False},
-    "no_distill": {"lambda_distill": 0.0},
 }
 
 
@@ -282,14 +267,12 @@ class TestTrainConfig:
         ({"teacher_steps": 0}, "step counts"),
         ({"student_steps": 0}, "step counts"),
         ({"batch_size": 0}, "batch size"),
-        ({"lambda_distill": -0.5}, "lambda_distill"),
         ({"data": synth.DatasetSpec(frames=16, patches=2)}, "must match the dataset"),
         ({"data": synth.DatasetSpec(frames=8, patches=3)}, "must match the dataset"),
-        ({"eval_samples": 0}, "eval_samples"),
         ({"eval_every": -1}, "eval_every"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
-    ], ids=["teacher_steps", "student_steps", "batch_size", "lambda_distill", "frames", "patches",
-            "eval_samples", "eval_every", "checkpoint_every"])
+    ], ids=["teacher_steps", "student_steps", "batch_size", "frames", "patches",
+            "eval_every", "checkpoint_every"])
     def test_invalid_config_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
@@ -344,6 +327,15 @@ class TestTrainConfig:
         for name in ("tau_start", "tau_end", "straight_through"):
             del d["prompter_cfg"][name]
         with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: audit_frozen$"):
+            trainer.TrainConfig.from_dict(d)
+
+    def test_from_dict_names_the_distill_fields(self):
+        # the layout before the student always distilled at weight 1 and the
+        # query count and periodic-eval size became module constants
+        d = json.loads(tiny_config().to_json())
+        d.update(lambda_distill=1.0, eval_samples=256, num_queries=8)
+        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: "
+                                             r"eval_samples, lambda_distill, num_queries$"):
             trainer.TrainConfig.from_dict(d)
 
 
@@ -481,7 +473,7 @@ def student_loss_and_grads(cfg):
     train, _ = synth.generate(cfg.data)
     bundle = trainer.build_models(cfg)
     params = trainer.set_stage(bundle, trainer.STAGE_STUDENT)
-    loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg, 1,
+    loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg,
                                       np.random.default_rng(3))
     backward(loss)
     return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad
@@ -555,9 +547,8 @@ class TestGatherMatchesAllFrames:
     a key bias."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
-    def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill):
-        cfg = GEOMETRIES[geometry](lambda_distill=lambda_distill)
+    def test_loss_and_gradients_match(self, monkeypatch, geometry):
+        cfg = GEOMETRIES[geometry]()
         assert mismatched_gradients(cfg, monkeypatch, all_frames_forward) == []
 
     def test_dropped_key_mask_is_caught(self, monkeypatch):
@@ -609,10 +600,9 @@ class TestProjectAfterGather:
     matches projecting every frame and then gathering."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    @pytest.mark.parametrize("lambda_distill", [1.0, 0.0])
     @pytest.mark.parametrize("selection", ["selector", "uniform"])
-    def test_loss_and_gradients_match(self, monkeypatch, geometry, lambda_distill, selection):
-        cfg = with_selection(GEOMETRIES[geometry](lambda_distill=lambda_distill), selection)
+    def test_loss_and_gradients_match(self, monkeypatch, geometry, selection):
+        cfg = with_selection(GEOMETRIES[geometry](), selection)
         assert mismatched_gradients(cfg, monkeypatch, reference_forward) == []
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -643,7 +633,7 @@ class TestProjectAfterGather:
 
         monkeypatch.setattr(T, "matmul", counting_matmul)
         if mode == "train":
-            trainer.student_loss(bundle, batch, cfg, 1, np.random.default_rng(0))
+            trainer.student_loss(bundle, batch, cfg, np.random.default_rng(0))
         else:
             trainer.student_forward(bundle, batch, cfg, mode)
         pcfg = cfg.prompter_cfg
@@ -692,26 +682,27 @@ class TestTeacherTargets:
 
 
 class TestStudentLossTerms:
-    """The student loss is the answer loss, plus lambda * distillation with a
-    decoder, plus, with a selector, the cross entropy of the segment logits
-    against each segment's lowest-saliency frame; one teacher pass per step
-    gives every teacher-side term."""
+    """The student loss is the answer loss, plus the distillation loss, plus,
+    with a selector, the cross entropy of the segment logits against each
+    segment's lowest-saliency frame, each at weight 1; one teacher pass per
+    step gives every teacher-side term."""
 
     @pytest.mark.parametrize("arm", sorted(STAGE_ARMS))
     def test_loss_is_the_sum_of_its_terms(self, arm):
-        cfg = tiny_config(**{"lambda_distill": 0.5, **STAGE_ARMS[arm]})
+        cfg = tiny_config(**STAGE_ARMS[arm])
         bundle = trainer.build_models(cfg)
         trainer.set_stage(bundle, trainer.STAGE_STUDENT)
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
-        loss, _, fields = trainer.student_loss(bundle, batch, cfg, 0, np.random.default_rng(8))
+        loss, _, fields = trainer.student_loss(bundle, batch, cfg, np.random.default_rng(8))
 
         rng = np.random.default_rng(8)
         logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train", rng=rng)
         expect = surrogates.vqa_loss(logits, batch.answers).item()
         assert fields["loss_vqa"] == expect
-        if bundle.decoder is not None:
-            _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
-            expect += cfg.lambda_distill * qformer.distill_loss(bundle.decoder, x_student, x_teacher).item()
+        _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
+        distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher).item()
+        assert fields["loss_distill"] == distill
+        expect += distill
         if bundle.prompter_params is not None:
             _, saliency = trainer.teacher_targets(bundle, batch, cfg)
             fps = cfg.prompter_cfg.frames_per_segment
@@ -720,11 +711,9 @@ class TestStudentLossTerms:
             expect += -np.take_along_axis(logp, labels[..., None], axis=2).mean()
         assert loss.item() == pytest.approx(expect, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("use_prompter, lambda_distill, passes", [
-        (True, 1.0, 1), (True, 0.0, 1), (False, 1.0, 1), (False, 0.0, 0),
-    ], ids=["default", "no_distill", "uniform_picks", "uniform_no_distill"])
-    def test_one_teacher_pass_per_step(self, monkeypatch, use_prompter, lambda_distill, passes):
-        cfg = tiny_config(use_prompter=use_prompter, lambda_distill=lambda_distill)
+    @pytest.mark.parametrize("use_prompter", [True, False], ids=["default", "uniform_picks"])
+    def test_one_teacher_pass_per_step(self, monkeypatch, use_prompter):
+        cfg = tiny_config(use_prompter=use_prompter)
         bundle = trainer.build_models(cfg)
         trainer.set_stage(bundle, trainer.STAGE_STUDENT)
         calls = []
@@ -732,9 +721,9 @@ class TestStudentLossTerms:
         monkeypatch.setattr(trainer, "teacher_forward",
                             lambda *args, **kw: calls.append(kw.get("key_bias") is not None) or forward(*args, **kw))
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:2])
-        trainer.student_loss(bundle, batch, cfg, 0, np.random.default_rng(0))
+        trainer.student_loss(bundle, batch, cfg, np.random.default_rng(0))
         # only a selector needs the saliency, so only its pass takes the bias
-        assert calls == [use_prompter] * passes
+        assert calls == [use_prompter]
 
     def test_audit_guards_the_teacher_backward(self, monkeypatch):
         # an unfrozen teacher parameter takes gradient from the saliency
@@ -782,7 +771,7 @@ class TestOneStudentForBothArms:
         logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train",
                                                           rng=np.random.default_rng(2))
         loss = T.add(surrogates.vqa_loss(logits, batch.answers),
-                     qformer.distill_loss(bundle.decoder, x_student, x_teacher) * cfg.lambda_distill)
+                     qformer.distill_loss(bundle.decoder, x_student, x_teacher))
         backward(loss)
         named = bundle.named_params()
         selector = sorted(name for name in named if name.startswith("prompter."))
