@@ -93,10 +93,8 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     """
     from . import surrogates, synth
 
-    spec = synth.DatasetSpec(num_train=4, num_val=2, frames=8, patches=3, raw_dim=12,
-                             num_keyframes=2, num_attributes=2, seed=seed)
-    pcfg = prompter.FramePrompterConfig(frames=8, segments=2, patches=3, channels=4,
-                                        d_model=12, embed_hidden=6)
+    spec = synth.DatasetSpec(num_train=4, num_val=2, frames=8, patches=3, num_keyframes=2, seed=seed)
+    pcfg = prompter.FramePrompterConfig(frames=8, segments=2, channels=4, d_model=12, embed_hidden=6)
     cfg = trainer.TrainConfig(seed=seed, teacher_steps=1, student_steps=1, prompter_cfg=pcfg, data=spec)
     train_samples, _ = synth.generate(spec)
     bundle = trainer.build_models(cfg)

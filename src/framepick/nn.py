@@ -66,7 +66,7 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
     k = T.matmul(keys_values, params.wk)
     v = T.matmul(keys_values, params.wv)
 
-    logits = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(d))
+    logits = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), Tensor(1.0 / math.sqrt(d)))
     if key_bias is not None:
         logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
     weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]

@@ -33,15 +33,18 @@ from .tensor import Tensor
 
 @dataclass
 class FramePrompterConfig:
+    """Selector and fusion sizes. The patch count N is the dataset's
+    (`DatasetSpec.patches`): the selector reads it from its input, and
+    `FramePrompterParams.init` takes it as an argument."""
+
     frames: int = 32            # T, input frames
     segments: int = 4           # S, also the selected-frame count (one per segment)
-    patches: int = 4            # N, patch tokens per frame
     channels: int = 8           # C, channels per patch from the visual encoder
     d_model: int = 64           # width of the fusion models; the text-blind selector does not read it
     embed_hidden: int = 32
 
     def __post_init__(self):
-        for name in ("patches", "channels", "d_model", "embed_hidden"):
+        for name in ("channels", "d_model", "embed_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.segments <= self.frames:
@@ -63,8 +66,9 @@ class FramePrompterParams:
     select_head: nn.MlpParams
 
     @classmethod
-    def init(cls, cfg: FramePrompterConfig, rng: np.random.Generator) -> "FramePrompterParams":
-        n, h = cfg.patches, cfg.embed_hidden
+    def init(cls, cfg: FramePrompterConfig, patches: int, rng: np.random.Generator) -> "FramePrompterParams":
+        """Weights for N = `patches` tokens per frame."""
+        n, h = patches, cfg.embed_hidden
         embed = nn.MlpParams([
             nn.fc_step(n, h, rng, bias=False),
             nn.ln_step(h),
@@ -98,17 +102,16 @@ class SelectionMask:
 
 def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """[B, T, N, C] -> mean over channels -> per-frame MLP -> [B, T, N]."""
-    if x.shape[1:] != (cfg.frames, cfg.patches, cfg.channels):
-        raise ValueError(f"expected [B, {cfg.frames}, {cfg.patches}, {cfg.channels}], got {x.shape}")
+    if x.ndim != 4 or (x.shape[1], x.shape[3]) != (cfg.frames, cfg.channels):
+        raise ValueError(f"expected [B, {cfg.frames}, N, {cfg.channels}], got {x.shape}")
     pooled = T.mean_axis(x, axis=3)
     return nn.mlp_apply(params.embed, pooled)
 
 
 def segment_logits(embedded: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """[B, T, N] -> contiguous temporal chunks -> FC -> [B, S, T/S] logits."""
-    b = embedded.shape[0]
-    fps = cfg.frames_per_segment
-    chunks = T.reshape(embedded, (b, cfg.segments, fps * cfg.patches))
+    b, _, n = embedded.shape
+    chunks = T.reshape(embedded, (b, cfg.segments, cfg.frames_per_segment * n))
     return nn.mlp_apply(params.select_head, chunks)
 
 

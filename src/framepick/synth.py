@@ -9,10 +9,10 @@ question asks about one of the attributes present, so exactly one keyframe
 answers it and the correct answer is decodable only from the keyframe set.
 Spreading the attributes across keyframes keeps every keyframe individually
 load-bearing: a learned selector is rewarded for recovering all of them, not
-just any one. Distractor frames are noise, and roughly half additionally
-carry a decoy pattern (an attribute present in the video, uniformly random
-value, no marker) so blind uniform sampling is actively penalized rather
-than merely diluted.
+just any one. Distractor frames are noise, and half of them (DECOY_PROB)
+additionally carry a decoy pattern (an attribute present in the video,
+uniformly random value, no marker) so blind uniform sampling is actively
+penalized rather than merely diluted.
 
 All patterns and the marker are mutually orthogonal, so the built-in decoder
 (correlate-and-argmax over the queried attribute's tagged patterns,
@@ -20,7 +20,9 @@ max-pooled over the frames it is allowed to read) recovers the answer from
 the keyframes with a wide margin. Generation is deterministic: every sample
 derives its own stream from (seed, split, index). A dataset has no file
 format: it is regenerated from its `DatasetSpec`, which a training config
-(and so its digest) carries.
+(and so its digest) carries. The spec sets the split sizes, T, N, K and
+the seed; the settings no experiment varies are module constants:
+NUM_ATTRIBUTES, NUM_CHOICES (A), RAW_DIM, NOISE_STD and DECOY_PROB.
 """
 
 from __future__ import annotations
@@ -34,46 +36,45 @@ VOCAB = 64
 TOK_ATTR_BASE = 10
 TOK_VALUE_BASE = 32
 
+# the generator settings no experiment varies
+NUM_ATTRIBUTES = 4    # attributes a question can ask about
+NUM_CHOICES = 4       # A, values per attribute and answer choices per question
+RAW_DIM = 24          # raw features per patch; fits the 16 orthogonal patterns plus the marker
+NOISE_STD = 0.3       # Gaussian noise on every raw feature
+DECOY_PROB = 0.5      # chance that a distractor frame carries a decoy pattern
+
 
 @dataclass
 class DatasetSpec:
+    """The settings that vary: split sizes, geometry, keyframe count and seed.
+    The rest are the module constants NUM_ATTRIBUTES, NUM_CHOICES, RAW_DIM,
+    NOISE_STD and DECOY_PROB."""
+
     num_train: int = 4000
     num_val: int = 1000
     frames: int = 32          # T
     patches: int = 4          # N
-    raw_dim: int = 24
-    num_choices: int = 4      # A
     num_keyframes: int = 4    # K
-    num_attributes: int = 4
-    noise_std: float = 0.3
-    decoy_prob: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("frames", "patches", "raw_dim", "num_keyframes"):
+        for name in ("frames", "patches", "num_keyframes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.num_choices < 2:
-            raise ValueError(f"num_choices must be at least 2, got {self.num_choices}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
-        if not 0 <= self.decoy_prob <= 1:
-            raise ValueError(f"decoy_prob must lie in [0, 1], got {self.decoy_prob}")
         if self.num_keyframes > self.frames:
             raise ValueError("K must not exceed T")
+        if self.num_keyframes > NUM_ATTRIBUTES:  # one attribute per keyframe
+            raise ValueError(f"num_keyframes must be at most NUM_ATTRIBUTES = {NUM_ATTRIBUTES}, "
+                             f"got {self.num_keyframes}")
         if self.num_train < 1 or self.num_val < 1:
             raise ValueError("split counts must be at least 1")
         if self.frames % self.num_keyframes != 0:
             raise ValueError("one keyframe per segment needs K to divide T")
-        if self.num_attributes < self.num_keyframes:
-            raise ValueError("need at least one attribute per keyframe (num_attributes >= K)")
-        if TOK_VALUE_BASE + self.num_choices > VOCAB or TOK_ATTR_BASE + self.num_attributes > TOK_VALUE_BASE:
-            raise ValueError(f"token layout overflows the {VOCAB}-token vocabulary")
 
 
 @dataclass
 class SynthSample:
-    raw_video: np.ndarray      # [T, N, raw_dim], float64 holding float32-exact values
+    raw_video: np.ndarray      # [T, N, RAW_DIM], float64 holding float32-exact values
     question: np.ndarray       # [Lq] int token ids
     choices: np.ndarray        # [A, Lc] int token ids
     answer_idx: int
@@ -88,29 +89,27 @@ class SynthSample:
 class PatternBank:
     """Fixed pattern dictionary shared by every sample of a spec.
 
-    patterns[a, v] is the [N, raw_dim] pattern for value v of attribute a,
+    patterns[a, v] is the [N, RAW_DIM] pattern for value v of attribute a,
     constant across the N patches so every patch token of a marked frame
     carries the full signature; `marker` is the keyframe tag. All pattern
     vectors and the marker are mutually orthogonal in raw-feature space,
-    each with squared norm raw_dim per patch.
+    each with squared norm RAW_DIM per patch.
     """
 
     def __init__(self, spec: DatasetSpec):
-        count = spec.num_attributes * spec.num_choices
-        if spec.raw_dim < count + 1:
-            raise ValueError(f"raw_dim {spec.raw_dim} too small for {count} orthogonal patterns plus a marker")
+        count = NUM_ATTRIBUTES * NUM_CHOICES
         rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((spec.seed, 0xBA17))))
-        q, _ = np.linalg.qr(rng.normal(size=(spec.raw_dim, count)))
-        basis = q.T * np.sqrt(spec.raw_dim)
+        q, _ = np.linalg.qr(rng.normal(size=(RAW_DIM, count)))
+        basis = q.T * np.sqrt(RAW_DIM)
         self.patterns = np.stack([
-            np.stack([_f32_exact(np.tile(basis[a * spec.num_choices + v], (spec.patches, 1)))
-                      for v in range(spec.num_choices)])
-            for a in range(spec.num_attributes)])
+            np.stack([_f32_exact(np.tile(basis[a * NUM_CHOICES + v], (spec.patches, 1)))
+                      for v in range(NUM_CHOICES)])
+            for a in range(NUM_ATTRIBUTES)])
         # marker rows vary per patch inside the orthocomplement of the pattern
         # span, so channel pooling keeps a distinctive per-frame signature
-        raw_marker = rng.normal(size=(spec.patches, spec.raw_dim))
+        raw_marker = rng.normal(size=(spec.patches, RAW_DIM))
         raw_marker -= (raw_marker @ q) @ q.T
-        raw_marker *= np.sqrt(spec.raw_dim) / np.linalg.norm(raw_marker, axis=1, keepdims=True)
+        raw_marker *= np.sqrt(RAW_DIM) / np.linalg.norm(raw_marker, axis=1, keepdims=True)
         self.marker = _f32_exact(raw_marker)
 
 
@@ -131,25 +130,25 @@ def _make_sample(spec: DatasetSpec, bank: PatternBank, split: int, index: int) -
     rng = np.random.default_rng(np.random.PCG64(ss))
     sample_seed = int(ss.generate_state(1)[0])
 
-    kf_attrs = tuple(int(a) for a in rng.choice(spec.num_attributes, size=spec.num_keyframes,
+    kf_attrs = tuple(int(a) for a in rng.choice(NUM_ATTRIBUTES, size=spec.num_keyframes,
                                                 replace=False))
-    kf_values = tuple(int(v) for v in rng.integers(spec.num_choices, size=spec.num_keyframes))
+    kf_values = tuple(int(v) for v in rng.integers(NUM_CHOICES, size=spec.num_keyframes))
     queried = int(rng.integers(spec.num_keyframes))
     attr, value = kf_attrs[queried], kf_values[queried]
     keyframes = _place_keyframes(spec, rng)
 
-    video = rng.normal(size=(spec.frames, spec.patches, spec.raw_dim)) * spec.noise_std
+    video = rng.normal(size=(spec.frames, spec.patches, RAW_DIM)) * NOISE_STD
     slot = {f: j for j, f in enumerate(keyframes)}
     for f in range(spec.frames):
         if f in slot:
             j = slot[f]
             video[f] += bank.patterns[kf_attrs[j], kf_values[j]] + bank.marker
-        elif rng.random() < spec.decoy_prob:
+        elif rng.random() < DECOY_PROB:
             decoy_attr = kf_attrs[int(rng.integers(spec.num_keyframes))]
-            video[f] += bank.patterns[decoy_attr, int(rng.integers(spec.num_choices))]
+            video[f] += bank.patterns[decoy_attr, int(rng.integers(NUM_CHOICES))]
     video = _f32_exact(video)
 
-    perm = rng.permutation(spec.num_choices)
+    perm = rng.permutation(NUM_CHOICES)
     answer_idx = int(np.flatnonzero(perm == value)[0])
     question = np.array([TOK_ATTR_BASE + attr], dtype=np.int64)
     choices = np.array([[TOK_VALUE_BASE + int(v)] for v in perm], dtype=np.int64)

@@ -53,20 +53,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operators cover the small amount of scalar arithmetic the models need;
-    # anything with a nontrivial gradient rule is a named op below.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
 
 def _op(data: np.ndarray, inputs, bw) -> Tensor:
     """Build an op output, recording parents/backward only on a grad path."""

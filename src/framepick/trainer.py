@@ -54,10 +54,9 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ValueError("eval_every and checkpoint_every must be nonnegative")
-        # the prompter consumes the dataset's geometry
-        if (self.prompter_cfg.frames != self.data.frames
-                or self.prompter_cfg.patches != self.data.patches):
-            raise ValueError("prompter frames/patches must match the dataset spec")
+        # the prompter consumes the dataset's frames (and reads N from its input)
+        if self.prompter_cfg.frames != self.data.frames:
+            raise ValueError("prompter frames must match the dataset spec")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -158,7 +157,7 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     """
     data = cfg.data
     d = cfg.prompter_cfg.d_model
-    visual = SurrogateVisualEncoder.init(data.raw_dim, cfg.prompter_cfg.channels,
+    visual = SurrogateVisualEncoder.init(synth.RAW_DIM, cfg.prompter_cfg.channels,
                                          data.patches, seed=cfg.seed)
 
     def stream(tag):
@@ -176,7 +175,7 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
                           requires_grad=True)
     student_qf = QFormerParams.init(d, NUM_QUERIES, cfg.prompter_cfg.segments, data.patches, rng_s)
 
-    prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, stream(30))
+    prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, data.patches, stream(30))
                        if cfg.use_prompter else None)
     decoder = DistillDecoderParams.init(d, d, stream(40))
     return ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
@@ -190,7 +189,7 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
 
 @dataclass
 class Batch:
-    raw: np.ndarray        # [B, T, N, raw_dim]
+    raw: np.ndarray        # [B, T, N, RAW_DIM]
     questions: np.ndarray  # [B, Lq]
     choices: np.ndarray    # [B, A, Lc]
     answers: np.ndarray    # [B]
@@ -328,10 +327,7 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
 # ---------------------------------------------------------------------------
 # metrics
 
-# selection_overlap and tau are always empty; the columns stay so the CSV
-# format (and the digests pinned on it) does not change.
-METRIC_FIELDS = ("step", "split", "loss_vqa", "loss_distill", "accuracy",
-                 "keyframe_recall", "selection_overlap", "tau", "lr")
+METRIC_FIELDS = ("step", "split", "loss_vqa", "loss_distill", "accuracy", "keyframe_recall", "lr")
 
 
 @dataclass
@@ -342,8 +338,6 @@ class MetricsRow:
     loss_distill: float | None = None
     accuracy: float | None = None
     keyframe_recall: float | None = None
-    selection_overlap: float | None = None
-    tau: float | None = None
     lr: float | None = None
     wallclock_ms: float | None = None
 
@@ -590,7 +584,7 @@ def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, rng: np.ra
     recall = None
     if labels is not None:
         loss = T.add(loss, T.cross_entropy(T.reshape(mask.logits, (labels.size, fps)), labels))
-        recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes, cfg)))
+        recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes)))
     return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": loss_distill.item(),
                           "keyframe_recall": recall}
 
@@ -709,10 +703,9 @@ def train_student(cfg: TrainConfig, train_samples, val_samples, teacher_ckpt: Ch
 # ---------------------------------------------------------------------------
 # evaluation
 
-def keyframe_recalls(selected, keyframes, cfg: TrainConfig) -> list:
+def keyframe_recalls(selected, keyframes) -> list:
     """Per video, the share of its planted keyframes among the selected frames."""
-    k = cfg.data.num_keyframes
-    return [len(set(sel) & set(kf)) / k for sel, kf in zip(selected, keyframes)]
+    return [len(set(sel) & set(kf)) / len(kf) for sel, kf in zip(selected, keyframes)]
 
 
 def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: int = 0,
@@ -720,8 +713,7 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     """Deterministic full pass over `samples`; the student reads its "infer" picks.
 
     Returns (MetricsRow for split "val", per-sample selected indices). Teacher
-    evaluations report no selection metrics (not applicable), and no row
-    reports a selection overlap or a temperature.
+    evaluations report no selection metrics (not applicable).
     """
     _check_stage(stage)
     if not samples:
@@ -741,7 +733,7 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
             logits, _, mask = student_forward(bundle, batch, cfg, "infer")
             selections.extend(mask.selected)
             if bundle.prompter_params is not None:
-                recalls.extend(keyframe_recalls(mask.selected, batch.keyframes, cfg))
+                recalls.extend(keyframe_recalls(mask.selected, batch.keyframes))
         losses.append(surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers))
         correct += int((logits.data.argmax(axis=1) == batch.answers).sum())
 

@@ -4,9 +4,15 @@ from framepick import checks
 from framepick import tensor as T
 
 
-@pytest.mark.parametrize("scope", sorted(checks.SCOPES))
-def test_scope_passes(scope):
-    reports = checks.run_scope(scope)
+# every scope at seed 0; the ops suite also at seed 7, so each primitive is
+# checked at 20 random points
+SCOPE_SEEDS = [(scope, 0) for scope in sorted(checks.SCOPES)] + [("ops", 7)]
+
+
+@pytest.mark.parametrize("scope, seed", SCOPE_SEEDS,
+                         ids=[scope if seed == 0 else f"{scope}-seed{seed}" for scope, seed in SCOPE_SEEDS])
+def test_scope_passes(scope, seed):
+    reports = checks.run_scope(scope, seed=seed)
     assert reports
     failed = [r for r in reports if not r.passed]
     assert not failed, failed

@@ -183,9 +183,9 @@ class TestMlp:
         ])
         x = rng.normal(size=(3, d))
         got = nn.mlp_apply(params, Tensor(x))
-        manual = T.matmul(
+        manual = T.add(T.matmul(
             T.relu(T.layer_norm(T.matmul(Tensor(x), Tensor(w1)), Tensor(gain), Tensor(bias))),
-            Tensor(w2)) + Tensor(b2)
+            Tensor(w2)), Tensor(b2))
         assert np.array_equal(got.data, manual.data)
 
     def test_composition_mismatch(self, rng):

@@ -14,8 +14,11 @@ def rng():
     return np.random.default_rng(7)
 
 
+N = 4  # patch tokens per frame
+
+
 def small_cfg(**kw):
-    base = dict(frames=8, segments=4, patches=4, channels=3, d_model=8, embed_hidden=6)
+    base = dict(frames=8, segments=4, channels=3, d_model=8, embed_hidden=6)
     base.update(kw)
     return FramePrompterConfig(**base)
 
@@ -27,7 +30,7 @@ def cfg():
 
 @pytest.fixture
 def params(cfg, rng):
-    return FramePrompterParams.init(cfg, rng)
+    return FramePrompterParams.init(cfg, N, rng)
 
 
 def hard_pick(logits, cfg, noise):
@@ -40,7 +43,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(frames=10, segments=4)
 
-    @pytest.mark.parametrize("field", ["patches", "channels", "d_model", "embed_hidden"])
+    @pytest.mark.parametrize("field", ["channels", "d_model", "embed_hidden"])
     def test_zero_size_field_named(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
             small_cfg(**{field: 0})
@@ -54,9 +57,9 @@ class TestConfig:
 
 class TestPoolAndEmbed:
     def test_constant_input_gives_constant_frames(self, cfg, params):
-        x = Tensor(np.full((2, cfg.frames, cfg.patches, cfg.channels), 1.5))
+        x = Tensor(np.full((2, cfg.frames, N, cfg.channels), 1.5))
         out = pool_and_embed(x, params, cfg)
-        assert out.shape == (2, cfg.frames, cfg.patches)
+        assert out.shape == (2, cfg.frames, N)
         # constancy propagates through the mean and the per-frame embedding
         assert np.allclose(out.data, out.data[0, 0])
         # regression pin so silent changes to the embed stack are caught
@@ -64,20 +67,20 @@ class TestPoolAndEmbed:
 
     def test_single_channel_mean_is_identity(self, rng):
         cfg = small_cfg(channels=1)
-        params = FramePrompterParams.init(cfg, rng)
-        x = rng.normal(size=(1, cfg.frames, cfg.patches, 1))
+        params = FramePrompterParams.init(cfg, N, rng)
+        x = rng.normal(size=(1, cfg.frames, N, 1))
         pooled = T.mean_axis(Tensor(x), 3)
         assert np.array_equal(pooled.data, x[..., 0])
         out = pool_and_embed(Tensor(x), params, cfg)
-        assert out.shape == (1, cfg.frames, cfg.patches)
+        assert out.shape == (1, cfg.frames, N)
 
     def test_shape_mismatch(self, cfg, params):
         with pytest.raises(ValueError):
             pool_and_embed(Tensor(np.zeros((1, 4, 4, 3))), params, cfg)
 
     def test_gradient_through_chain(self, cfg, params, rng):
-        x = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels))
-        w = rng.normal(size=(1, cfg.frames, cfg.patches))
+        x = rng.normal(size=(1, cfg.frames, N, cfg.channels))
+        w = rng.normal(size=(1, cfg.frames, N))
 
         def f(t):
             return T.sum_all(T.mul(pool_and_embed(t, params, cfg), Tensor(w)))
@@ -88,21 +91,21 @@ class TestPoolAndEmbed:
 
 class TestSegmentLogits:
     def test_paper_shape_algebra(self, rng):
-        cfg = small_cfg(frames=8, segments=4, patches=4)
-        params = FramePrompterParams.init(cfg, rng)
+        cfg = small_cfg(frames=8, segments=4)
+        params = FramePrompterParams.init(cfg, N, rng)
         out = segment_logits(Tensor(rng.normal(size=(3, 8, 4))), params, cfg)
         assert out.shape == (3, 4, 2)
 
     def test_zero_weights_give_uniform_distribution(self, cfg, rng):
-        params = FramePrompterParams.init(cfg, rng)
-        fps, n = cfg.frames_per_segment, cfg.patches
+        params = FramePrompterParams.init(cfg, N, rng)
+        fps, n = cfg.frames_per_segment, N
         params.select_head = nn.MlpParams([("fc", Tensor(np.zeros((fps * n, fps))), Tensor(np.zeros(fps)))])
         logits = segment_logits(Tensor(rng.normal(size=(2, cfg.frames, n))), params, cfg)
         pi = T.softmax(logits, axis=-1)
         assert np.allclose(pi.data, 1.0 / fps)
 
     def test_segment_permutation_permutes_segment_axis(self, cfg, params, rng):
-        emb = rng.normal(size=(1, cfg.frames, cfg.patches))
+        emb = rng.normal(size=(1, cfg.frames, N))
         base = segment_logits(Tensor(emb), params, cfg).data
         perm = np.array([2, 0, 3, 1])
         fps = cfg.frames_per_segment
@@ -131,7 +134,7 @@ class TestGumbelHard:
     def test_selection_frequencies_match_softmax(self):
         # Gumbel-max property: empirical frequencies converge to softmax(logits);
         # draws ride on the batch axis so the module's sampler itself is measured
-        cfg = small_cfg(frames=3, segments=1, patches=1)
+        cfg = small_cfg(frames=3, segments=1)
         probs = np.array([0.7, 0.2, 0.1])
         rng = np.random.default_rng(0)
         draws = 100_000
@@ -231,7 +234,7 @@ class TestApplyMaskAndFuse:
     text by an attention."""
 
     def test_full_mask_matches_unmasked_attention(self, cfg, attn, rng):
-        tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
+        tokens = Tensor(rng.normal(size=(1, cfg.frames, N, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         full = SelectionMask(selected=[list(range(cfg.frames))])
         fused = keys_fuse(tokens, full, text, attn)
@@ -240,7 +243,7 @@ class TestApplyMaskAndFuse:
         assert np.array_equal(fused.data, plain.data)
 
     def test_one_hot_mask_ignores_other_frames(self, cfg, attn, rng):
-        tokens = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model))
+        tokens = rng.normal(size=(1, cfg.frames, N, cfg.d_model))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         mask = SelectionMask(selected=[[3]])
         out = keys_fuse(Tensor(tokens), mask, text, attn)
@@ -251,7 +254,7 @@ class TestApplyMaskAndFuse:
         assert np.array_equal(out.data, out2.data)
 
     def test_empty_selection_rejected(self, cfg, attn, rng):
-        tokens = Tensor(rng.normal(size=(1, cfg.frames, cfg.patches, cfg.d_model)))
+        tokens = Tensor(rng.normal(size=(1, cfg.frames, N, cfg.d_model)))
         text = Tensor(rng.normal(size=(1, 2, cfg.d_model)))
         empty = SelectionMask(selected=[[]])
         with pytest.raises(ValueError, match="no attendable keys"):
@@ -260,8 +263,8 @@ class TestApplyMaskAndFuse:
 
 class TestSelectFrames:
     def test_infer_is_deterministic(self, cfg, params, attn, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
-        tokens = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.d_model)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.channels)))
+        tokens = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
         a_out, a_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
         b_out, b_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
@@ -269,9 +272,9 @@ class TestSelectFrames:
         assert a_mask.selected == b_mask.selected
 
     def test_canonical_32_to_4_selection_structure(self, rng):
-        cfg = FramePrompterConfig(frames=32, segments=4, patches=4, channels=3,
+        cfg = FramePrompterConfig(frames=32, segments=4, channels=3,
                                   d_model=8, embed_hidden=6)
-        params = FramePrompterParams.init(cfg, rng)
+        params = FramePrompterParams.init(cfg, N, rng)
         x = Tensor(rng.normal(size=(2, 32, 4, 3)))
         mask = select_frames(x, params, cfg)
         for row in mask.selected:
@@ -280,7 +283,7 @@ class TestSelectFrames:
                 assert s * 8 <= idx < (s + 1) * 8
 
     def test_train_mode_hard_row_sums(self, cfg, params, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, cfg.patches, cfg.channels)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.channels)))
         mask = select_frames(x, params, cfg, rng=rng)
         fps = cfg.frames_per_segment
         assert [[i // fps for i in row] for row in mask.selected] == [list(range(cfg.segments))] * 2
@@ -290,8 +293,8 @@ class TestSelectFrames:
         # the selector's training signal: the cross entropy of its segment
         # logits against per-segment labels reaches the select-head weights
         # and matches finite differences
-        params = FramePrompterParams.init(cfg, rng)
-        x = rng.normal(size=(1, cfg.frames, cfg.patches, cfg.channels))
+        params = FramePrompterParams.init(cfg, N, rng)
+        x = rng.normal(size=(1, cfg.frames, N, cfg.channels))
         noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
         labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
         head_w = params.select_head.steps[0][1]

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from framepick.synth import (DatasetSpec, PatternBank, decode_sample,
+from framepick.synth import (NUM_CHOICES, DatasetSpec, PatternBank, decode_sample,
                              expected_uniform_keyframe_hits, generate,
                              oracle_accuracy, uniform_frame_indices)
 
 
 def small_spec(**kw):
-    base = dict(num_train=64, num_val=32, frames=16, patches=4, raw_dim=24,
-                num_choices=4, num_keyframes=4, num_attributes=4, seed=5)
+    base = dict(num_train=64, num_val=32, frames=16, patches=4, num_keyframes=4, seed=5)
     base.update(kw)
     return DatasetSpec(**base)
 
@@ -31,13 +30,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field, value, message", [
         ("num_keyframes", 0, "num_keyframes must be at least 1, got 0"),
-        ("num_choices", 1, "num_choices must be at least 2, got 1"),
+        ("num_keyframes", 5, "num_keyframes must be at most NUM_ATTRIBUTES = 4, got 5"),
         ("patches", 0, "patches must be at least 1, got 0"),
         ("frames", 0, "frames must be at least 1, got 0"),
-        ("raw_dim", 0, "raw_dim must be at least 1, got 0"),
-        ("noise_std", -0.1, r"noise_std must be nonnegative, got -0.1"),
-        ("decoy_prob", 1.5, r"decoy_prob must lie in \[0, 1\], got 1.5"),
-        ("decoy_prob", -0.5, r"decoy_prob must lie in \[0, 1\], got -0.5"),
     ])
     def test_out_of_range_field_named(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -94,7 +89,7 @@ class TestInformationLocality:
             blanked = SynthSample_with_video(s, zero_frames(s, s.keyframes))
             hits += decode_sample(blanked, bank) == s.answer_idx
         rate = hits / len(train)
-        assert abs(rate - 1.0 / spec.num_choices) <= 0.02, rate
+        assert abs(rate - 1.0 / NUM_CHOICES) <= 0.02, rate
 
     def test_zeroing_non_keyframes_never_changes_the_answer(self, dataset):
         spec, train, _, bank = dataset
@@ -134,8 +129,7 @@ class TestOracles:
     def test_uniform_enumeration_matches_closed_form(self):
         # K=1, k=4, T=32, one keyframe anywhere in the single segment:
         # picks cover 4 of 32 positions -> expected hit rate 4/32 = 1/8
-        spec = DatasetSpec(num_train=1, num_val=1, frames=32, patches=4, raw_dim=24,
-                           num_choices=4, num_keyframes=1, num_attributes=3, seed=0)
+        spec = DatasetSpec(num_train=1, num_val=1, frames=32, patches=4, num_keyframes=1, seed=0)
         assert expected_uniform_keyframe_hits(spec, 4) == pytest.approx(4 / 32)
         # canonical T=32, K=4 spec: one pick lands in each 8-frame segment
         spec4 = DatasetSpec(frames=32, num_keyframes=4, seed=0)
@@ -158,9 +152,9 @@ class TestOracles:
             assert rand <= oracle_accuracy("keyframe_oracle", train, spec, spec.num_keyframes, bank)
 
     def test_degenerate_full_information_case(self):
-        # noise-free: the single keyframe carrying the queried attribute
-        # suffices on its own, and the full keyframe set decodes exactly
-        spec = small_spec(num_train=50, noise_std=0.0)
+        # the single keyframe carrying the queried attribute suffices on its
+        # own, and the full keyframe set decodes exactly
+        spec = small_spec(num_train=50)
         train, _ = generate(spec)
         bank = PatternBank(spec)
         assert oracle_accuracy("keyframe_oracle", train, spec, spec.num_keyframes, bank) == 1.0

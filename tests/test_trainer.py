@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,8 +72,7 @@ def tiny_config(**overrides):
     data = synth.DatasetSpec(num_train=16, num_val=8, frames=8, patches=2, seed=4)
     fields = dict(seed=4, teacher_steps=4, student_steps=4, batch_size=2,
                   eval_every=0, checkpoint_every=2, data=data,
-                  prompter_cfg=trainer.FramePrompterConfig(
-                      frames=8, patches=2, d_model=8, embed_hidden=4))
+                  prompter_cfg=trainer.FramePrompterConfig(frames=8, d_model=8, embed_hidden=4))
     fields.update(overrides)
     return trainer.TrainConfig(**fields)
 
@@ -143,31 +143,31 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "c5f396ab70f4988c8a90f3fb5d2ba463987d8cbc756c66716f5ddd6eb266579d",
+            "47bddd70c900952e0844a2e1695d375d7219417060c67da03a63720c1f8ffa92",
         "student/student.ckpt":
-            "91b7c716be9831009dd2a8de78d1a05c995b3012ddcdbcb5d30d62f823ba3e61",
+            "33976d3153a5d4d33b3f549acb8c2760dcb5500f28c374c5a208e93c11b8464e",
         "student/student_step2.ckpt":
-            "edf90a491191859dd3f0a3634585b2c7538b1bc4d8f51103b4769fd0c12e5562",
+            "3ba939edd67be4e002a3ecae79e4c440e6eea1b156a2b46b1e0e538b37d697f4",
         "teacher/metrics.csv":
-            "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
+            "6f06b52ee70a6c7a17388963f508627518303eec01a32a5c9c5e8981ae287cb6",
         "teacher/teacher.ckpt":
-            "8460271d9189877cc3576b8856a93ef842570f9818621d4494df1e04be9ed20e",
+            "7be21f7add085350e73d94f9c19ffd5e8ad99fa44eb401d5fb243a9ad2f8493c",
         "teacher/teacher_step2.ckpt":
-            "2a086116aff008c21af33a20e5a12d7f2aaea8e0be3bdbe1ca40d6a1f3327608",
+            "8b2c3ee9e261d18a298a2725bab589d93fa1db913e9d6acdc2de05ee82bc0e41",
     },
     "uniform_picks": {
         "student/metrics.csv":
-            "d299b4b69cd755b41d5a4cce57785ffd12c450b8603fe444b73bd3d4342cc053",
+            "57cc394c13f0e3b857a83b3553f3b77339f7bbb3d9b19176f1411ba6d561ceb0",
         "student/student.ckpt":
-            "18c9cef30b51403bf83559b8cb25d7dd682af4b141215585df792ffa43bc7d88",
+            "058b5e7fc1c597aa53f0a76fc511e8ad6b801fc6d39d946c1c3d4525385c69c3",
         "student/student_step2.ckpt":
-            "895a811da999c2eccfbfdc31b15cfa7b7b3539384b7da87e2892d9825471c22f",
+            "eddf5a2d2c3eec1a1b0c4ff70ef7bfeadd849ad25294812d09d3ed46121e4bfa",
         "teacher/metrics.csv":
-            "d4421aa5d7429d36fea15c65883f18e0cf0034d29f863e92dac33fa61093fd4f",
+            "6f06b52ee70a6c7a17388963f508627518303eec01a32a5c9c5e8981ae287cb6",
         "teacher/teacher.ckpt":
-            "aaf7d846c7b2530ee9d9d98419b1871dfa6755f041c5bab85505f69fc57d421d",
+            "8fe2697a836f6dde0e8dba0bcc9ec1dcfd698afd2ee1b899a0bad6d854bb1552",
         "teacher/teacher_step2.ckpt":
-            "fe4ef0c9b5ae22b4bcf302ca005c7a8be17c95d1b75feeb9bcf34fe62a1dfed6",
+            "b63c17043af6983a46f3a9d37753f219407523efd9abd6cb95018e77c362720e",
     },
 }
 
@@ -268,11 +268,9 @@ class TestTrainConfig:
         ({"student_steps": 0}, "step counts"),
         ({"batch_size": 0}, "batch size"),
         ({"data": synth.DatasetSpec(frames=16, patches=2)}, "must match the dataset"),
-        ({"data": synth.DatasetSpec(frames=8, patches=3)}, "must match the dataset"),
         ({"eval_every": -1}, "eval_every"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
-    ], ids=["teacher_steps", "student_steps", "batch_size", "frames", "patches",
-            "eval_every", "checkpoint_every"])
+    ], ids=["teacher_steps", "student_steps", "batch_size", "frames", "eval_every", "checkpoint_every"])
     def test_invalid_config_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
@@ -290,53 +288,39 @@ class TestTrainConfig:
             trainer.evaluate(trainer.build_models(cfg), cfg, val, trainer.STAGE_STUDENT,
                              batch_size=batch_size)
 
-    # fields of earlier layouts: the Q-Former config, the selector's head count
-    # and the keyframe placement
-    @pytest.mark.parametrize("level, edit", [
-        ("TrainConfig", lambda d: d.update(qformer_cfg={"num_queries": 8})),
-        ("TrainConfig.prompter_cfg", lambda d: d["prompter_cfg"].update(num_heads=1)),
-        ("TrainConfig.data", lambda d: d["data"].update(placement="segment")),
-    ], ids=["top", "prompter_cfg", "data"])
-    def test_from_dict_names_unknown_fields(self, level, edit):
+    # fields of earlier layouts, in the order `from_dict` names them: nested
+    # configs before the top level, so a layout with unknown fields at two
+    # levels raises on the second once the first level's are removed
+    @pytest.mark.parametrize("layout", [
+        [(None, {"qformer_cfg": {"num_queries": 8}})],
+        [("prompter_cfg", {"num_heads": 1})],
+        [("data", {"placement": "segment"})],
+        # before the optimizer settings and the text sizes became constants
+        [(None, dict(lr=3e-3, lr_min=3e-4, weight_decay=1e-4, beta1=0.9, beta2=0.999,
+                     adam_eps=1e-8, grad_clip=1.0, max_text_len=8, vocab=64))],
+        # before saliency labels replaced the Gumbel-Softmax relaxation
+        [("prompter_cfg", dict(tau_start=1.0, tau_end=0.01, straight_through=True)),
+         (None, {"audit_frozen": False})],
+        # before the student always distilled at weight 1 and the query count
+        # and periodic-eval size became constants
+        [(None, dict(lambda_distill=1.0, eval_samples=256, num_queries=8))],
+        # before the single-valued dataset settings became constants and the
+        # selector read N from its input
+        [("prompter_cfg", {"patches": 2}),
+         ("data", dict(decoy_prob=0.5, noise_std=0.3, num_attributes=4, num_choices=4, raw_dim=24))],
+    ], ids=["top", "prompter_cfg", "data", "optimizer", "relaxation", "distill", "dataset_constants"])
+    def test_from_dict_names_unknown_fields(self, layout):
         d = json.loads(tiny_config().to_json())
-        edit(d)
-        with pytest.raises(ValueError, match=rf"unknown config field\(s\) in {level}: "
-                                             r"(num_heads|placement|qformer_cfg)$"):
-            trainer.TrainConfig.from_dict(d)
-
-    def test_from_dict_names_every_removed_field(self):
-        # the layout before the optimizer settings and the text sizes became
-        # module constants
-        d = json.loads(tiny_config().to_json())
-        d.update(lr=3e-3, lr_min=3e-4, weight_decay=1e-4, beta1=0.9, beta2=0.999,
-                 adam_eps=1e-8, grad_clip=1.0, max_text_len=8, vocab=64)
-        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: "
-                                             r"adam_eps, beta1, beta2, grad_clip, lr, lr_min, "
-                                             r"max_text_len, vocab, weight_decay$"):
-            trainer.TrainConfig.from_dict(d)
-
-    def test_from_dict_names_the_relaxation_fields(self):
-        # the layout before saliency labels replaced the Gumbel-Softmax
-        # relaxation: the nested prompter config is read first
-        d = json.loads(tiny_config().to_json())
-        d["prompter_cfg"].update(tau_start=1.0, tau_end=0.01, straight_through=True)
-        d["audit_frozen"] = False
-        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig.prompter_cfg: "
-                                             r"straight_through, tau_end, tau_start$"):
-            trainer.TrainConfig.from_dict(d)
-        for name in ("tau_start", "tau_end", "straight_through"):
-            del d["prompter_cfg"][name]
-        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: audit_frozen$"):
-            trainer.TrainConfig.from_dict(d)
-
-    def test_from_dict_names_the_distill_fields(self):
-        # the layout before the student always distilled at weight 1 and the
-        # query count and periodic-eval size became module constants
-        d = json.loads(tiny_config().to_json())
-        d.update(lambda_distill=1.0, eval_samples=256, num_queries=8)
-        with pytest.raises(ValueError, match=r"unknown config field\(s\) in TrainConfig: "
-                                             r"eval_samples, lambda_distill, num_queries$"):
-            trainer.TrainConfig.from_dict(d)
+        for key, extra in layout:
+            (d if key is None else d[key]).update(extra)
+        for key, extra in layout:
+            level = "TrainConfig" if key is None else f"TrainConfig.{key}"
+            with pytest.raises(ValueError, match=rf"^unknown config field\(s\) in {re.escape(level)}: "
+                                                 rf"{', '.join(sorted(extra))}$"):
+                trainer.TrainConfig.from_dict(d)
+            for name in extra:
+                del (d if key is None else d[key])[name]
+        assert trainer.TrainConfig.from_dict(d) == tiny_config()
 
 
 class TestUnknownStage:
@@ -580,7 +564,7 @@ class TestGatherMatchesAllFrames:
     def test_key_count_follows_the_mask(self, sampled):
         # the Gumbel-max pick of training or the argmax of inference: either
         # way the keys are the S picked frames' tokens
-        pcfg = prompter.FramePrompterConfig(frames=8, segments=4, patches=2, d_model=3)
+        pcfg = prompter.FramePrompterConfig(frames=8, segments=4, d_model=3)
         rng = np.random.default_rng(0)
         mask = prompter.sample_frames(Tensor(rng.normal(size=(2, 4, 2))), pcfg, rng=rng if sampled else None)
         x_tokens = Tensor(rng.normal(size=(2, 8, 2, 3)))
@@ -636,8 +620,7 @@ class TestProjectAfterGather:
             trainer.student_loss(bundle, batch, cfg, np.random.default_rng(0))
         else:
             trainer.student_forward(bundle, batch, cfg, mode)
-        pcfg = cfg.prompter_cfg
-        assert rows == [b * pcfg.segments * pcfg.patches]
+        assert rows == [b * cfg.prompter_cfg.segments * cfg.data.patches]
 
 
 class TestTeacherTargets:
