@@ -7,7 +7,8 @@ of the checked tensor. `run_scope` runs one suite by its `SCOPES` name
 through it; the package has no command-line entry point yet. Every suite
 runs the model's own code: "ops" each `tensor` primitive, and "end2end" the
 student stage's training loss (`trainer.student_loss`), which reaches
-`qformer_forward` through the student queries and cross-attention, and
+`qformer_forward` through the student queries and cross-attention, the
+teacher stage's loss through the teacher's self-attention key weight, and
 the teacher's saliency gradient. Sample points are jittered away from
 non-smooth loci (relu kinks, argmax ties), and relu at exactly 0 is
 excluded by construction.
@@ -82,9 +83,10 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     over every coordinate of six student-side parameters: the first fc
     weights of the selector's head and frame embedding, the student queries
     and cross-attention query weight, the first fc weight of the
-    distillation decoder and the student projection; and the teacher's
-    answer loss over the zero key bias whose gradient is the saliency:
-    seven targets.
+    distillation decoder and the student projection; the stage-1 loss
+    (`trainer.teacher_loss`) over the teacher's self-attention key weight;
+    and the teacher's answer loss over the zero key bias whose gradient is
+    the saliency: eight targets.
 
     The loss is smooth while no perturbation moves a hard pick. Each
     evaluation draws its Gumbel noise from a fresh generator with the same
@@ -125,6 +127,15 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
 
         reports.append(grad_check(f, param, eps=1e-5, tol=tol, name=f"end2end.{name}"))
         put(param)
+
+    def teacher_self_wk_loss(wk):
+        bundle.teacher_qf.self_attn.wk = wk
+        loss, _, _ = trainer.teacher_loss(bundle, batch, cfg, np.random.default_rng(seed))
+        return loss
+
+    wk = bundle.teacher_qf.self_attn.wk
+    reports.append(grad_check(teacher_self_wk_loss, wk, eps=1e-5, tol=tol, name="end2end.teacher_self_wk"))
+    bundle.teacher_qf.self_attn.wk = wk
 
     def teacher_answer_loss(key_bias):
         logits, _ = trainer.teacher_forward(bundle, batch, cfg, key_bias=key_bias)

@@ -6,7 +6,9 @@ residuals, no feed-forward sublayers, no positional terms (callers inject
 positions as additive embeddings when they need them). An optional per-key
 bias is added to the attention logits; a zero-valued bias that takes a
 gradient measures how much each key matters to a loss (the teacher's frame
-saliency in `trainer.teacher_targets`).
+saliency in `trainer.teacher_targets`). Keys and values enter unprojected:
+Wk and Wv act on the query side, so Q queries over L tokens cost
+O(Q·L·d + Q·d²), no key/value projection of the L tokens.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
     queries: [b, Lq, d]; keys_values: [b, Lk, d]; key_bias: optional [b, Lk],
     added to every query's logits. With `return_weights`, also returns the
     [b, Lq, Lk] attention weights.
+
+    Wk and Wv are applied on the query side: the logits are
+    ((Xq Wq) Wk^T) X^T and the output is ((A X) Wv) Wo. That costs
+    O(Q·L·d + Q·d²), no key/value projection of the L tokens, and equals
+    the projected form up to rounding.
     """
     if queries.shape[-1] != params.d_model or keys_values.shape[-1] != params.d_model:
         raise ValueError(
@@ -62,15 +69,13 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
         raise ValueError(f"key_bias shape {key_bias.shape} does not match keys {keys_values.shape[:2]}")
 
     b, lk, d = keys_values.shape
-    q = T.matmul(queries, params.wq)
-    k = T.matmul(keys_values, params.wk)
-    v = T.matmul(keys_values, params.wv)
+    q = T.matmul(T.matmul(queries, params.wq), T.transpose(params.wk, (1, 0)))
 
-    logits = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), Tensor(1.0 / math.sqrt(d)))
+    logits = T.mul(T.matmul(q, T.transpose(keys_values, (0, 2, 1))), Tensor(1.0 / math.sqrt(d)))
     if key_bias is not None:
         logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
     weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]
-    out = T.matmul(T.matmul(weights, v), params.wo)
+    out = T.matmul(T.matmul(T.matmul(weights, keys_values), params.wv), params.wo)
     if return_weights:
         return out, weights
     return out

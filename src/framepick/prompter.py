@@ -3,7 +3,7 @@
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
 vector, score the frames of each of S contiguous temporal segments, and
 pick one frame per segment (`select_frames`, through `sample_frames`, the
-one pick rule). The selector reads no text until ROADMAP item 5: the
+one pick rule). The selector reads no text until ROADMAP item 3: the
 question reaches only the student fusion, after the pick. This module
 builds every `SelectionMask`, also the no-selector arms' fixed pick
 (`uniform_mask`). `frame_keys` gathers the picked frames' tokens from
@@ -60,7 +60,7 @@ class FramePrompterConfig:
 @dataclass
 class FramePrompterParams:
     """Learnable state of the selector: frame embedding and selection head.
-    No text weights: the selector reads no question until ROADMAP item 5."""
+    No text weights: the selector reads no question until ROADMAP item 3."""
 
     embed: nn.MlpParams
     select_head: nn.MlpParams

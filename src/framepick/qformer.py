@@ -9,9 +9,10 @@ text. The output therefore always has one vector per text token, whatever
 the frame budget.
 
 Only the query positions of the self-attention block are ever read, so the
-block is computed for those rows alone: Q queries against all Q + Lv keys,
-O(Q * L) instead of O(L^2). At T=128 frames that is 8 of 520 rows. Visual
-tokens still receive gradient through the keys and values.
+block is computed for those rows alone: Q queries against all L = Q + Lv
+keys, O(Q·L·d + Q·d²), no key/value projection of the L tokens (see
+`nn.cross_attention`), instead of O(L²). At T=128 frames that is 8 of 520
+rows. Visual tokens still receive gradient through the keys and values.
 """
 
 from __future__ import annotations

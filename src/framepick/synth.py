@@ -61,15 +61,13 @@ class DatasetSpec:
         for name in ("frames", "patches", "num_keyframes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.num_keyframes > self.frames:
-            raise ValueError("K must not exceed T")
         if self.num_keyframes > NUM_ATTRIBUTES:  # one attribute per keyframe
             raise ValueError(f"num_keyframes must be at most NUM_ATTRIBUTES = {NUM_ATTRIBUTES}, "
                              f"got {self.num_keyframes}")
+        if self.frames % self.num_keyframes != 0:
+            raise ValueError("one keyframe per segment needs K to divide T (so K must not exceed T)")
         if self.num_train < 1 or self.num_val < 1:
             raise ValueError("split counts must be at least 1")
-        if self.frames % self.num_keyframes != 0:
-            raise ValueError("one keyframe per segment needs K to divide T")
 
 
 @dataclass

@@ -708,6 +708,21 @@ def keyframe_recalls(selected, keyframes) -> list:
     return [len(set(sel) & set(kf)) / len(kf) for sel, kf in zip(selected, keyframes)]
 
 
+def _evaluate_batch(bundle: ModelBundle, cfg: TrainConfig, batch: Batch, stage: str):
+    """(summed answer loss, correct count, student picks or None) of one batch.
+
+    Returns no tensor, so the batch's graph is freed before the next forward.
+    """
+    selected = None
+    if stage == STAGE_TEACHER:
+        logits, _ = teacher_forward(bundle, batch, cfg)
+    else:
+        logits, _, mask = student_forward(bundle, batch, cfg, "infer")
+        selected = mask.selected
+    loss = surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers)
+    return loss, int((logits.data.argmax(axis=1) == batch.answers).sum()), selected
+
+
 def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: int = 0,
              batch_size: int = 64):
     """Deterministic full pass over `samples`; the student reads its "infer" picks.
@@ -727,15 +742,13 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     selections = []
     for lo in range(0, len(samples), batch_size):
         batch = make_batch(samples[lo:lo + batch_size])
-        if stage == STAGE_TEACHER:
-            logits, _ = teacher_forward(bundle, batch, cfg)
-        else:
-            logits, _, mask = student_forward(bundle, batch, cfg, "infer")
-            selections.extend(mask.selected)
+        loss, batch_correct, selected = _evaluate_batch(bundle, cfg, batch, stage)
+        losses.append(loss)
+        correct += batch_correct
+        if selected is not None:
+            selections.extend(selected)
             if bundle.prompter_params is not None:
-                recalls.extend(keyframe_recalls(mask.selected, batch.keyframes))
-        losses.append(surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers))
-        correct += int((logits.data.argmax(axis=1) == batch.answers).sum())
+                recalls.extend(keyframe_recalls(selected, batch.keyframes))
 
     row = MetricsRow(step=step, split="val",
                      loss_vqa=float(np.sum(losses) / len(samples)),

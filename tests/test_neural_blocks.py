@@ -128,6 +128,56 @@ class TestCrossAttention:
                                Tensor(rng.normal(size=(1, 3, 6))))
 
 
+def projected_attention(params, queries, keys_values, key_bias=None):
+    """The textbook order: project every key and value, then attend."""
+    b, lk, d = keys_values.shape
+    k = T.matmul(keys_values, params.wk)
+    v = T.matmul(keys_values, params.wv)
+    logits = T.mul(T.matmul(T.matmul(queries, params.wq), T.transpose(k, (0, 2, 1))),
+                   Tensor(1.0 / np.sqrt(d)))
+    if key_bias is not None:
+        logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
+    return T.matmul(T.matmul(T.softmax(logits, axis=-1), v), params.wo)
+
+
+class TestProjectionOrder:
+    """`cross_attention` applies Wk and Wv on the query side; it must equal
+    softmax((Xq Wq)(X Wk)^T / sqrt(d) + bias)(X Wv) Wo in outputs and in
+    every gradient, within 1e-12 of the largest magnitude."""
+
+    def run(self, attend, params, xq, x, bias, readout):
+        leaves = {name.split(".")[-1]: p for name, p in params.named("a").items()}
+        for p in leaves.values():
+            p.grad = None
+        leaves["queries"] = Tensor(xq.copy(), requires_grad=True)
+        leaves["keys_values"] = Tensor(x.copy(), requires_grad=True)
+        bias_t = None
+        if bias is not None:
+            bias_t = leaves["key_bias"] = Tensor(bias.copy(), requires_grad=True)
+        out = attend(params, leaves["queries"], leaves["keys_values"], key_bias=bias_t)
+        T.backward(T.sum_all(T.mul(out, Tensor(readout))))
+        return out.data, {name: leaf.grad.copy() for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+    @pytest.mark.parametrize("lq, lk", [(2, 7), (5, 5), (9, 3)], ids=["Lq<Lk", "Lq=Lk", "Lq>Lk"])
+    def test_matches_projected_keys_and_values(self, lq, lk, with_bias):
+        rng = np.random.default_rng(lq * 10 + lk)
+        b, d = 2, 6
+        params = make_attn(d=d, rng=rng)
+        xq = rng.normal(size=(b, lq, d))
+        x = rng.normal(size=(b, lk, d))
+        bias = rng.normal(size=(b, lk)) if with_bias else None
+        readout = rng.normal(size=(b, lq, d))
+        out, grads = self.run(nn.cross_attention, params, xq, x, bias, readout)
+        ref_out, ref_grads = self.run(projected_attention, params, xq, x, bias, readout)
+        expected = {"wq", "wk", "wv", "wo", "queries", "keys_values"} | ({"key_bias"} if with_bias else set())
+        assert grads.keys() == ref_grads.keys() == expected
+        for name, got, ref in [("out", out, ref_out)] + [(n, grads[n], ref_grads[n]) for n in sorted(expected)]:
+            assert got.shape == ref.shape, name
+            assert np.any(ref != 0.0), name
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
 class TestSelfAttention:
     def test_single_token(self, rng):
         params = make_attn(d=4, rng=rng)

@@ -103,6 +103,23 @@ class TestQFormerForward:
 
         assert grad_check(f, Tensor(np.zeros((1, 3))), tol=1e-5).passed
 
+    def test_no_product_has_a_row_per_visual_token(self, rng, monkeypatch):
+        # the fusion's attentions project their few queries, never the Lv
+        # visual tokens: no forward matmul output has Lv or more rows
+        lv = 512
+        params = make_qf(d=8, q=4, budget=128, patches=4, rng=rng)
+        rows = []
+        matmul = T.matmul
+
+        def recording_matmul(a, b):
+            out = matmul(a, b)
+            rows.append(out.shape[-2])
+            return out
+
+        monkeypatch.setattr(T, "matmul", recording_matmul)
+        qformer_forward(params, Tensor(rng.normal(size=(2, lv, 8))), Tensor(rng.normal(size=(2, 5, 8))))
+        assert rows and max(rows) < lv, rows
+
     def test_zero_key_bias_is_bitwise_neutral(self, rng):
         params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
         vis = Tensor(rng.normal(size=(2, 3, 4)))

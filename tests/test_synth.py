@@ -21,7 +21,10 @@ def dataset():
 
 class TestSpecValidation:
     def test_k_must_not_exceed_t(self):
-        with pytest.raises(ValueError, match="K must not exceed T"):
+        for frames in (1, 2, 3):
+            with pytest.raises(ValueError, match=r"K to divide T \(so K must not exceed T\)"):
+                small_spec(frames=frames, num_keyframes=4)
+        with pytest.raises(ValueError):
             small_spec(num_keyframes=20)
 
     def test_counts_positive(self):

@@ -143,31 +143,31 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "47bddd70c900952e0844a2e1695d375d7219417060c67da03a63720c1f8ffa92",
+            "09c839f35f0b08b9f456df2cc7387865c64d08f42909aa3262d1991ed3cd1b6a",
         "student/student.ckpt":
-            "33976d3153a5d4d33b3f549acb8c2760dcb5500f28c374c5a208e93c11b8464e",
+            "d962879b2b7a4caf92a14a785c7b9f6638796587f33b31bbc74c11e53ec0105d",
         "student/student_step2.ckpt":
-            "3ba939edd67be4e002a3ecae79e4c440e6eea1b156a2b46b1e0e538b37d697f4",
+            "f8ec89565c56d0bf9fd818f80bd674759db7949d66b052e8a0053c6ead1da9ef",
         "teacher/metrics.csv":
-            "6f06b52ee70a6c7a17388963f508627518303eec01a32a5c9c5e8981ae287cb6",
+            "9a46f29f60c24ad9493a54ed051e62e4059fd5975f4bbd9420eaa78f3825dc7d",
         "teacher/teacher.ckpt":
-            "7be21f7add085350e73d94f9c19ffd5e8ad99fa44eb401d5fb243a9ad2f8493c",
+            "394b9064ef108384973467738de6a7bfae6f351dd1d64512e2ab54e40e675415",
         "teacher/teacher_step2.ckpt":
-            "8b2c3ee9e261d18a298a2725bab589d93fa1db913e9d6acdc2de05ee82bc0e41",
+            "5a5f60369b88b4415d0780fc344c8c09317f9b67a92a8db99e070f847910532c",
     },
     "uniform_picks": {
         "student/metrics.csv":
-            "57cc394c13f0e3b857a83b3553f3b77339f7bbb3d9b19176f1411ba6d561ceb0",
+            "0db4b8cee32ccfda61f8a96a3da94232ba0626a27ce91f2fbd37e4103fbf3a8c",
         "student/student.ckpt":
-            "058b5e7fc1c597aa53f0a76fc511e8ad6b801fc6d39d946c1c3d4525385c69c3",
+            "f6abcbc0aff7caa6f661ee07842bb8c82ec6c8b885a128bf23c2d660c5c49557",
         "student/student_step2.ckpt":
-            "eddf5a2d2c3eec1a1b0c4ff70ef7bfeadd849ad25294812d09d3ed46121e4bfa",
+            "3d30dddb344f4383d1339375686b6684d987384b01dfbd629fa92057f49a64b2",
         "teacher/metrics.csv":
-            "6f06b52ee70a6c7a17388963f508627518303eec01a32a5c9c5e8981ae287cb6",
+            "9a46f29f60c24ad9493a54ed051e62e4059fd5975f4bbd9420eaa78f3825dc7d",
         "teacher/teacher.ckpt":
-            "8fe2697a836f6dde0e8dba0bcc9ec1dcfd698afd2ee1b899a0bad6d854bb1552",
+            "c5b878b45d7174eb151a143f53af5fc2fd3db5ef91494f4854170e1a4f5f197c",
         "teacher/teacher_step2.ckpt":
-            "b63c17043af6983a46f3a9d37753f219407523efd9abd6cb95018e77c362720e",
+            "55062c8cee2c7bf4b44540eb4e7c74007de055e38a528be89b89853a11cd854e",
     },
 }
 
