@@ -11,14 +11,14 @@ per-frame features of any width. The student forward calls it once, on
 the frozen visual features, projects only the keys it returns, and fuses
 them with the question text in the student fusion.
 
-The pick is hard in training and at inference: training takes the
-Gumbel-max pick (the argmax of the log-probabilities plus Gumbel noise),
-inference the noiseless argmax. No gradient flows through a pick. The
-selector learns from one term of the student loss instead: the cross
-entropy of its segment scores (`SelectionMask.logits`) against per-segment
-labels from the frozen teacher's saliency (`trainer.teacher_targets`).
-This departs from the Gumbel-Softmax relaxation of the paper, whose
-straight-through gradient never told the selector to pick another frame.
+The pick has one rule, in training and at inference: each segment's
+argmax frame, so the student trains on the picks it is scored on. No
+gradient flows through a pick. The selector learns from one term of the
+student loss instead: the cross entropy of its segment scores
+(`SelectionMask.logits`) against a label from the frozen teacher's
+saliency (`trainer.teacher_targets`). This departs from the Gumbel-Softmax
+relaxation of the paper, whose straight-through gradient never told the
+selector to pick another frame.
 """
 
 from __future__ import annotations
@@ -128,27 +128,17 @@ def uniform_mask(b: int, cfg: FramePrompterConfig) -> SelectionMask:
     return _mask(np.full((b, cfg.segments), cfg.frames_per_segment // 2), cfg)
 
 
-def sample_frames(logits: Tensor, cfg: FramePrompterConfig, rng: np.random.Generator | None = None,
-                  noise: np.ndarray | None = None) -> SelectionMask:
-    """One frame per segment from [B, S, T/S] logits: the argmax of
-    logits + g, with the logits kept as the mask's `logits`.
+def sample_frames(logits: Tensor, cfg: FramePrompterConfig, keep_graph: bool = False) -> SelectionMask:
+    """One frame per segment from [B, S, T/S] logits: each segment's argmax,
+    ties broken low. No gradient flows through a pick.
 
-    In training g is Gumbel noise (`noise`, else drawn from `rng`): the
-    Gumbel-max pick, which draws each frame with its softmax probability.
-    With neither, g = 0: the inference pick, which keeps the logits
-    detached, so their graph is freed with the forward. Ties break low.
-    No gradient flows through a pick.
+    The mask keeps the logits as its `logits`: with their graph given
+    `keep_graph` (training, where the selector's label cross entropy reads
+    them), else detached, so their graph is freed with the forward.
     """
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("sample_frames requires finite logits")
-    z = logits.data
-    if noise is None and rng is None:
-        return _mask(z.argmax(axis=-1), cfg, logits.detach())
-    if noise is None:
-        noise = rng.gumbel(size=logits.shape)
-    elif np.shape(noise) != logits.shape:
-        raise ValueError(f"noise shape {np.shape(noise)} != logits shape {logits.shape}")
-    return _mask((z + noise).argmax(axis=-1), cfg, logits)
+    return _mask(logits.data.argmax(axis=-1), cfg, logits if keep_graph else logits.detach())
 
 
 def frame_keys(x_tokens: Tensor, mask: SelectionMask) -> Tensor:
@@ -162,9 +152,8 @@ def frame_keys(x_tokens: Tensor, mask: SelectionMask) -> Tensor:
 
 
 def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
-                  rng: np.random.Generator | None = None,
-                  noise: np.ndarray | None = None) -> SelectionMask:
+                  keep_graph: bool = False) -> SelectionMask:
     """Score the frames of [B, T, N, C] features and pick one per segment with
-    `sample_frames`: Gumbel-max given `rng` or `noise` (training), else argmax."""
+    `sample_frames`; `keep_graph` keeps the mask's logits differentiable."""
     logits = segment_logits(pool_and_embed(video_features, params, cfg), params, cfg)
-    return sample_frames(logits, cfg, rng=rng, noise=noise)
+    return sample_frames(logits, cfg, keep_graph)

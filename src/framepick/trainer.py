@@ -4,12 +4,14 @@ Stage 1 trains the teacher fusion model (plus text encoder and answer head)
 on all frames with the answer loss only. Stage 2 freezes those and trains
 the student fusion model, the frame selector and the distillation decoder
 against the sum of the answer loss, the feature-distillation loss and the
-selector's cross entropy on the frozen teacher's saliency labels, each at
-weight 1. Both stages run one loop (`_run_stage`); `train_teacher` and
-`train_student` give it their model, random stream, step count and loss
-(`teacher_loss`, `student_loss`). Both stages are bitwise deterministic
-functions of (seed, config) and resumable from mid-run checkpoints, also
-into the run's own output directory.
+selector's cross entropy on the frozen teacher's saliency label, each at
+weight 1. The student trains on the selector's argmax picks, the ones it
+is evaluated on. Both stages run one loop (`_run_stage`); `train_teacher`
+and `train_student` give it their model, random stream (which draws the
+batches), step count and loss (`teacher_loss`, `student_loss`). The loop
+clips the selector's gradients apart from the rest. Both stages are
+bitwise deterministic functions of (seed, config) and resumable from
+mid-run checkpoints, also into the run's own output directory.
 """
 
 from __future__ import annotations
@@ -219,30 +221,27 @@ def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, key_bia
     return logits, fused
 
 
-def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: str,
-                    rng: np.random.Generator | None = None):
+def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: str):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    mode "train" (needs `rng`) takes the selector's Gumbel-max pick, mode
-    "infer", the deterministic evaluation path, its argmax pick; with no
-    selector, `prompter.uniform_mask` stands in. `frame_keys` gathers the S
-    picked frames once, from the frozen C-wide features, and only those
-    S * N keys per video are projected to d_model (the projection is per
-    token, so this equals projecting every frame, then gathering). The
-    student fusion reads them with the question, and its output is what the
-    answer head scores: both arms run this one model and differ only in
-    their picks.
+    Both modes take the selector's argmax pick; mode "train" keeps the
+    mask's logits differentiable for the selector's label cross entropy,
+    mode "infer" detaches them. With no selector, `prompter.uniform_mask`
+    stands in. `frame_keys` gathers the S picked frames once, from the
+    frozen C-wide features, and only those S * N keys per video are
+    projected to d_model (the projection is per token, so this equals
+    projecting every frame, then gathering). The student fusion reads them
+    with the question, and its output is what the answer head scores: both
+    arms run this one model and differ only in their picks.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and rng is None:
-        raise ValueError("train mode requires rng")
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)  # [B, T, N, C]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
     if bundle.prompter_params is not None:
         mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      rng=rng if mode == "train" else None)
+                                      keep_graph=mode == "train")
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
     vis = T.matmul(prompter.frame_keys(feats, mask), bundle.student_proj)  # [B, S * N, d]
@@ -287,7 +286,8 @@ def clip_global_norm(params: dict, max_norm: float) -> tuple[float, float]:
 
 
 # the optimizer settings of both stages: the learning rate anneals from LR
-# to LR_MIN on a cosine, after clipping the global gradient norm to GRAD_CLIP
+# to LR_MIN on a cosine, after clipping each parameter group's gradient norm
+# to GRAD_CLIP
 LR = 3e-3
 LR_MIN = 3e-4
 WEIGHT_DECAY = 1e-4
@@ -540,7 +540,7 @@ def _draw_batch(samples, batch_size: int, rng: np.random.Generator) -> Batch:
     return make_batch([samples[int(i)] for i in idx])
 
 
-def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, rng: np.random.Generator):
+def teacher_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     """Stage 1 loss (answer loss on all frames), answer logits, MetricsRow fields."""
     logits, _ = teacher_forward(bundle, batch, cfg)
     loss = surrogates.vqa_loss(logits, batch.answers)
@@ -562,28 +562,30 @@ def teacher_targets(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     return fused.detach(), key_bias.grad.reshape(b, t, n).sum(axis=2)
 
 
-def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, rng: np.random.Generator):
+def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     """Stage 2 loss, answer logits and MetricsRow fields.
 
-    Answer loss on the frames picked with `rng`, plus the distillation loss
-    against the all-frames teacher, plus, with a selector, the cross entropy
-    of its segment logits against each segment's lowest-saliency frame
-    (`teacher_targets`, one pass for both); every term has weight 1.
+    Answer loss on the selector's argmax picks, the ones evaluation reads,
+    plus the distillation loss against the all-frames teacher, plus, with a
+    selector, one cross entropy per video: the scores of the segment that
+    holds the video's lowest-saliency frame, against that frame
+    (`teacher_targets`, one pass for both). Every term has weight 1.
     """
     fps = cfg.prompter_cfg.frames_per_segment
-    labels = None
+    low = None
     if bundle.prompter_params is not None:
         x_teacher, saliency = teacher_targets(bundle, batch, cfg)
-        labels = saliency.reshape(-1, fps).argmin(axis=1)  # [B * S], segment-major
+        low = saliency.argmin(axis=1)  # [B], the most salient frame of each video
     else:
         _, x_teacher = teacher_forward(bundle, batch, cfg)
-    logits, x_student, mask = student_forward(bundle, batch, cfg, "train", rng=rng)
+    logits, x_student, mask = student_forward(bundle, batch, cfg, "train")
     loss_vqa = surrogates.vqa_loss(logits, batch.answers)
     loss_distill = qformer.distill_loss(bundle.decoder, x_student, x_teacher)
     loss = T.add(loss_vqa, loss_distill)
     recall = None
-    if labels is not None:
-        loss = T.add(loss, T.cross_entropy(T.reshape(mask.logits, (labels.size, fps)), labels))
+    if low is not None:
+        scores = T.gather_frames(mask.logits, (low // fps)[:, None])  # [B, 1, T/S]
+        loss = T.add(loss, T.cross_entropy(T.reshape(scores, (low.size, fps)), low % fps))
         recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes)))
     return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": loss_distill.item(),
                           "keyframe_recall": recall}
@@ -593,13 +595,18 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
                loss_fn, train_samples, val_samples, out_dir, resume_from: Checkpoint | None):
     """The training loop of both stages; returns the final val MetricsRow.
 
-    `loss_fn(bundle, batch, cfg, rng)` returns the scalar loss, the
+    `loss_fn(bundle, batch, cfg)` returns the scalar loss, the
     answer logits and the stage's fields of that step's train MetricsRow.
     With out_dir, metrics go to its metrics.csv and checkpoints to
     f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps before the
     last) and f"{stage}.ckpt" (final).
     """
     params = set_stage(bundle, stage)
+    # the selector's gradients clip apart from the rest, so neither group's
+    # norm scales the other's step; a stage without a selector has one group
+    selector = {name: p for name, p in params.items() if name.startswith("prompter.")}
+    rest = {name: p for name, p in params.items() if name not in selector}
+    clip_groups = [group for group in (selector, rest) if group]
     opt = AdamWState()
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, rng_tag))))
     start_step = 0
@@ -629,12 +636,13 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             t0 = time.perf_counter()
             lr = cosine_lr(step, steps, LR, LR_MIN)
             batch = _draw_batch(train_samples, cfg.batch_size, rng)
-            loss, logits, fields = loss_fn(bundle, batch, cfg, rng)
+            loss, logits, fields = loss_fn(bundle, batch, cfg)
             if not math.isfinite(loss.item()):
                 raise RuntimeError(f"non-finite loss at step {step}; aborting")
             backward(loss)
             audit_frozen_gradients(bundle, stage)
-            clip_global_norm(params, GRAD_CLIP)
+            for group in clip_groups:
+                clip_global_norm(group, GRAD_CLIP)
             adamw_step(params, opt, lr, BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY)
             for p in params.values():
                 p.grad = None

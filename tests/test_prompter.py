@@ -33,11 +33,6 @@ def params(cfg, rng):
     return FramePrompterParams.init(cfg, N, rng)
 
 
-def hard_pick(logits, cfg, noise):
-    """The Gumbel-max pick under `noise`."""
-    return sample_frames(logits, cfg, noise=noise)
-
-
 class TestConfig:
     def test_indivisible_frames_rejected(self):
         with pytest.raises(ValueError):
@@ -114,55 +109,12 @@ class TestSegmentLogits:
         assert np.allclose(base[:, perm], permuted, atol=1e-12)
 
 
-class TestGumbelHard:
-    def test_rng_draws_the_noise_it_would_pass(self, cfg):
-        # a training pick from `rng` is the pick under that generator's
-        # first Gumbel draw of the logits' shape
-        logits = Tensor(np.random.default_rng(1).normal(size=(3, cfg.segments, cfg.frames_per_segment)))
-        drawn = sample_frames(logits, cfg, rng=np.random.default_rng(5))
-        noise = np.random.default_rng(5).gumbel(size=logits.shape)
-        assert drawn.selected == hard_pick(logits, cfg, noise).selected
-
-    def test_zero_noise_reduces_to_argmax(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        mask = hard_pick(logits, cfg, np.zeros(logits.shape))
-        expect = logits.data.argmax(axis=-1)
-        got = np.array(mask.selected) - np.arange(cfg.segments) * cfg.frames_per_segment
-        assert np.array_equal(expect, got)
-        assert [len(row) for row in mask.selected] == [cfg.segments, cfg.segments]
-
-    def test_selection_frequencies_match_softmax(self):
-        # Gumbel-max property: empirical frequencies converge to softmax(logits);
-        # draws ride on the batch axis so the module's sampler itself is measured
-        cfg = small_cfg(frames=3, segments=1)
-        probs = np.array([0.7, 0.2, 0.1])
-        rng = np.random.default_rng(0)
-        draws = 100_000
-        logits = Tensor(np.tile(np.log(probs), (draws, 1, 1)))
-        mask = sample_frames(logits, cfg, rng=rng)
-        freqs = np.bincount(np.array(mask.selected).ravel(), minlength=3) / draws
-        assert np.all(np.abs(freqs - probs) <= 0.01), freqs
-
-    def test_shift_invariance_of_selection(self, cfg, rng):
-        logits = rng.normal(size=(2, cfg.segments, cfg.frames_per_segment))
-        noise = rng.gumbel(size=logits.shape)
-        a = hard_pick(Tensor(logits), cfg, noise)
-        b = hard_pick(Tensor(logits + 11.25), cfg, noise)
-        assert a.selected == b.selected
-
-    def test_indices_strictly_increasing(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(4, cfg.segments, cfg.frames_per_segment)))
-        mask = sample_frames(logits, cfg, rng=rng)
-        for row in mask.selected:
-            assert all(a < b for a, b in zip(row, row[1:]))
-
-
 class TestPickGradient:
     def test_no_gradient_flows_through_the_pick(self, cfg, rng):
         # the pick reads the logits' values; the selector learns from the
         # cross entropy of `mask.logits` alone
         logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
-        mask = sample_frames(logits, cfg, rng=rng)
+        mask = sample_frames(logits, cfg, keep_graph=True)
         assert mask.logits is logits
         # the picks are plain ints: no graph hangs off them
         assert all(type(i) is int for row in mask.selected for i in row)
@@ -176,28 +128,23 @@ class TestPickGradient:
 
 
 class TestSampleFramesInputs:
-    # noise None: the inference pick; 0.5: a training pick under constant noise
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("noise", [None, 0.5])
-    def test_non_finite_logits_rejected(self, cfg, rng, bad, noise):
+    def test_non_finite_logits_rejected(self, cfg, rng, bad):
         data = rng.normal(size=(2, cfg.segments, cfg.frames_per_segment))
         data[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite logits"):
-            sample_frames(Tensor(data), cfg, noise=None if noise is None else np.full(data.shape, noise))
-
-    def test_noise_shape_must_match_logits(self, cfg, rng):
-        logits = Tensor(rng.normal(size=(2, cfg.segments, cfg.frames_per_segment)))
-        with pytest.raises(ValueError, match="noise shape"):
-            sample_frames(logits, cfg, noise=np.zeros((1, cfg.segments, cfg.frames_per_segment)))
+            sample_frames(Tensor(data), cfg)
 
     def test_inference_pick_is_the_zero_noise_pick(self, cfg, rng):
+        # the one pick rule, in training and at inference: each segment's argmax
         logits = Tensor(rng.normal(size=(3, cfg.segments, cfg.frames_per_segment)), requires_grad=True)
         mask = sample_frames(logits, cfg)
-        zero = hard_pick(logits, cfg, np.zeros(logits.shape))
-        assert mask.selected == zero.selected
+        offsets = logits.data.argmax(axis=-1)
+        assert mask.selected == (offsets + np.arange(cfg.segments) * cfg.frames_per_segment).tolist()
         # the scores without their graph, which the mask would keep alive
         assert np.array_equal(mask.logits.data, logits.data) and not mask.logits.requires_grad
-        assert zero.logits is logits
+        train = sample_frames(logits, cfg, keep_graph=True)
+        assert train.selected == mask.selected and train.logits is logits
 
 
 class TestUniformMask:
@@ -284,7 +231,7 @@ class TestSelectFrames:
 
     def test_train_mode_hard_row_sums(self, cfg, params, rng):
         x = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.channels)))
-        mask = select_frames(x, params, cfg, rng=rng)
+        mask = select_frames(x, params, cfg, keep_graph=True)
         fps = cfg.frames_per_segment
         assert [[i // fps for i in row] for row in mask.selected] == [list(range(cfg.segments))] * 2
         assert mask.logits.shape == (2, cfg.segments, cfg.frames_per_segment)
@@ -295,7 +242,6 @@ class TestSelectFrames:
         # and matches finite differences
         params = FramePrompterParams.init(cfg, N, rng)
         x = rng.normal(size=(1, cfg.frames, N, cfg.channels))
-        noise = rng.gumbel(size=(1, cfg.segments, cfg.frames_per_segment))
         labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
         head_w = params.select_head.steps[0][1]
 
@@ -303,7 +249,7 @@ class TestSelectFrames:
             p = FramePrompterParams(
                 embed=params.embed,
                 select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]))
-            mask = select_frames(Tensor(x), p, cfg, noise=noise)
+            mask = select_frames(Tensor(x), p, cfg, keep_graph=True)
             return T.cross_entropy(T.reshape(mask.logits, (cfg.segments, cfg.frames_per_segment)), labels)
 
         report = grad_check(f, Tensor(head_w.data.copy()), eps=1e-5, tol=1e-4)

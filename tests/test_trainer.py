@@ -143,11 +143,11 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "09c839f35f0b08b9f456df2cc7387865c64d08f42909aa3262d1991ed3cd1b6a",
+            "01fbc519495329f8cb7da2833ecdbfe09273d07b1725fb42ed447b896b9b815e",
         "student/student.ckpt":
-            "d962879b2b7a4caf92a14a785c7b9f6638796587f33b31bbc74c11e53ec0105d",
+            "8880ae461bc705fc773cd56324c4e2d684a8e236046e54fd9ed75613c1c81db6",
         "student/student_step2.ckpt":
-            "f8ec89565c56d0bf9fd818f80bd674759db7949d66b052e8a0053c6ead1da9ef",
+            "600326a8bb895873602749c7c32cfefe7a1d95b4f99514b4543f03a2c3bbbdc5",
         "teacher/metrics.csv":
             "9a46f29f60c24ad9493a54ed051e62e4059fd5975f4bbd9420eaa78f3825dc7d",
         "teacher/teacher.ckpt":
@@ -343,16 +343,28 @@ class TestUnknownStage:
 
 class TestStudentForwardMode:
     @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
-    @pytest.mark.parametrize("mode, rng, message", [
-        ("bogus", np.random.default_rng(0), "mode must be 'train' or 'infer', got 'bogus'"),
-        ("train", None, "train mode requires rng"),
-    ], ids=["unknown_mode", "train_without_rng"])
-    def test_rejected(self, use_prompter, mode, rng, message):
+    @pytest.mark.parametrize("mode, message", [
+        ("bogus", "mode must be 'train' or 'infer', got 'bogus'"),
+    ], ids=["unknown_mode"])
+    def test_rejected(self, use_prompter, mode, message):
         cfg = tiny_config(use_prompter=use_prompter)
         train, _ = synth.generate(cfg.data)
         with pytest.raises(ValueError, match=message):
-            trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:1]), cfg, mode,
-                                    rng=rng)
+            trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:1]), cfg, mode)
+
+    @pytest.mark.parametrize("geometry", ["T32", "T8"])   # keys of GEOMETRIES, defined below
+    def test_train_and_infer_pick_alike(self, geometry):
+        # one pick rule: the student trains on the picks it is scored on;
+        # the mode only decides whether the selector's logits keep their graph
+        cfg = GEOMETRIES[geometry]()
+        bundle = trainer.build_models(cfg)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        logits, _, mask = trainer.student_forward(bundle, batch, cfg, "train")
+        ref_logits, _, ref_mask = trainer.student_forward(bundle, batch, cfg, "infer")
+        assert mask.selected == ref_mask.selected
+        assert np.array_equal(logits.data, ref_logits.data)
+        assert np.array_equal(mask.logits.data, ref_mask.logits.data)
+        assert mask.logits.requires_grad and not ref_mask.logits.requires_grad
 
 
 class TestLoadIntoBundle:
@@ -451,14 +463,32 @@ class TestClipGlobalNorm:
         assert np.array_equal(params["a"].grad, [3.0, 0.0])
         assert np.array_equal(params["b"].grad, [4.0])
 
+    @pytest.mark.parametrize("stage", [trainer.STAGE_TEACHER, trainer.STAGE_STUDENT])
+    def test_stage_clips_the_selector_apart(self, monkeypatch, stage):
+        # the selector's gradient norm and the rest's are clipped apart; the
+        # teacher stage has no selector, so it clips all its gradients at once
+        cfg = tiny_config(teacher_steps=1, student_steps=1)
+        train, val = synth.generate(cfg.data)
+        calls = []
+        clip = trainer.clip_global_norm
+        monkeypatch.setattr(trainer, "clip_global_norm",
+                            lambda params, max_norm: calls.append(set(params)) or clip(params, max_norm))
+        trainable = trainer.trainable_names(trainer.build_models(cfg), stage)
+        if stage == trainer.STAGE_TEACHER:
+            trainer.train_teacher(cfg, train, val)
+            assert calls == [trainable]
+        else:
+            trainer.train_student(cfg, train, val, fake_checkpoint(cfg, trainer.STAGE_TEACHER))
+            selector = {name for name in trainable if name.startswith("prompter.")}
+            assert selector and calls == [selector, trainable - selector]
+
 
 def student_loss_and_grads(cfg):
     """Stage-2 loss on one batch and every trainable parameter's gradient."""
     train, _ = synth.generate(cfg.data)
     bundle = trainer.build_models(cfg)
     params = trainer.set_stage(bundle, trainer.STAGE_STUDENT)
-    loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg,
-                                      np.random.default_rng(3))
+    loss, _, _ = trainer.student_loss(bundle, trainer.make_batch(train[:4]), cfg)
     backward(loss)
     return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad
                          for name, p in params.items()}
@@ -484,7 +514,7 @@ def mismatched_names(result, reference):
                   if np.abs(grads[name] - ref).max() > 1e-12 * np.abs(ref).max())
 
 
-def reference_forward(bundle, batch, cfg, mode, rng=None, all_frames=False, key_mask=True):
+def reference_forward(bundle, batch, cfg, mode, all_frames=False, key_mask=True):
     """Reference student forward in the earlier order: project every frame's
     features to d_model, then gather the keys from the projected tokens.
     With `all_frames`, every frame stays a key instead, and unless `key_mask`
@@ -494,7 +524,7 @@ def reference_forward(bundle, batch, cfg, mode, rng=None, all_frames=False, key_
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
     if bundle.prompter_params is not None:
         mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      rng=rng if mode == "train" else None)
+                                      keep_graph=mode == "train")
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
     fusion, key_bias = bundle.student_qf, None
@@ -513,8 +543,8 @@ def reference_forward(bundle, batch, cfg, mode, rng=None, all_frames=False, key_
     return surrogates.score_answers(x_student, choices, bundle.answer), x_student, mask
 
 
-def all_frames_forward(bundle, batch, cfg, mode, rng=None, key_mask=True):
-    return reference_forward(bundle, batch, cfg, mode, rng=rng, all_frames=True, key_mask=key_mask)
+def all_frames_forward(bundle, batch, cfg, mode, key_mask=True):
+    return reference_forward(bundle, batch, cfg, mode, all_frames=True, key_mask=key_mask)
 
 
 def default_geometry_config(**overrides):
@@ -556,17 +586,14 @@ class TestGatherMatchesAllFrames:
         calls = []
         gather = prompter.frame_keys
         monkeypatch.setattr(prompter, "frame_keys", lambda *args: calls.append(1) or gather(*args))
-        trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:2]), cfg, mode,
-                                rng=np.random.default_rng(0))
+        trainer.student_forward(trainer.build_models(cfg), trainer.make_batch(train[:2]), cfg, mode)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("sampled", [True, False])
-    def test_key_count_follows_the_mask(self, sampled):
-        # the Gumbel-max pick of training or the argmax of inference: either
-        # way the keys are the S picked frames' tokens
+    def test_key_count_follows_the_mask(self):
+        # the keys are the S picked frames' tokens
         pcfg = prompter.FramePrompterConfig(frames=8, segments=4, d_model=3)
         rng = np.random.default_rng(0)
-        mask = prompter.sample_frames(Tensor(rng.normal(size=(2, 4, 2))), pcfg, rng=rng if sampled else None)
+        mask = prompter.sample_frames(Tensor(rng.normal(size=(2, 4, 2))), pcfg)
         x_tokens = Tensor(rng.normal(size=(2, 8, 2, 3)))
         keys = prompter.frame_keys(x_tokens, mask)
         picked = np.array(mask.selected)
@@ -617,7 +644,7 @@ class TestProjectAfterGather:
 
         monkeypatch.setattr(T, "matmul", counting_matmul)
         if mode == "train":
-            trainer.student_loss(bundle, batch, cfg, np.random.default_rng(0))
+            trainer.student_loss(bundle, batch, cfg)
         else:
             trainer.student_forward(bundle, batch, cfg, mode)
         assert rows == [b * cfg.prompter_cfg.segments * cfg.data.patches]
@@ -666,9 +693,9 @@ class TestTeacherTargets:
 
 class TestStudentLossTerms:
     """The student loss is the answer loss, plus the distillation loss, plus,
-    with a selector, the cross entropy of the segment logits against each
-    segment's lowest-saliency frame, each at weight 1; one teacher pass per
-    step gives every teacher-side term."""
+    with a selector, one cross entropy per video of the scores of the segment
+    that holds its lowest-saliency frame against that frame, each at weight
+    1; one teacher pass per step gives every teacher-side term."""
 
     @pytest.mark.parametrize("arm", sorted(STAGE_ARMS))
     def test_loss_is_the_sum_of_its_terms(self, arm):
@@ -676,10 +703,9 @@ class TestStudentLossTerms:
         bundle = trainer.build_models(cfg)
         trainer.set_stage(bundle, trainer.STAGE_STUDENT)
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
-        loss, _, fields = trainer.student_loss(bundle, batch, cfg, np.random.default_rng(8))
+        loss, _, fields = trainer.student_loss(bundle, batch, cfg)
 
-        rng = np.random.default_rng(8)
-        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train", rng=rng)
+        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train")
         expect = surrogates.vqa_loss(logits, batch.answers).item()
         assert fields["loss_vqa"] == expect
         _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
@@ -689,9 +715,10 @@ class TestStudentLossTerms:
         if bundle.prompter_params is not None:
             _, saliency = trainer.teacher_targets(bundle, batch, cfg)
             fps = cfg.prompter_cfg.frames_per_segment
-            labels = saliency.reshape(4, cfg.prompter_cfg.segments, fps).argmin(axis=2)
-            logp = mask.logits.data - np.log(np.exp(mask.logits.data).sum(axis=2, keepdims=True))
-            expect += -np.take_along_axis(logp, labels[..., None], axis=2).mean()
+            segment, label = np.divmod(saliency.argmin(axis=1), fps)
+            scores = mask.logits.data[np.arange(4), segment]   # [4, T/S]
+            logp = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+            expect += -logp[np.arange(4), label].mean()
         assert loss.item() == pytest.approx(expect, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("use_prompter", [True, False], ids=["default", "uniform_picks"])
@@ -704,7 +731,7 @@ class TestStudentLossTerms:
         monkeypatch.setattr(trainer, "teacher_forward",
                             lambda *args, **kw: calls.append(kw.get("key_bias") is not None) or forward(*args, **kw))
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:2])
-        trainer.student_loss(bundle, batch, cfg, np.random.default_rng(0))
+        trainer.student_loss(bundle, batch, cfg)
         # only a selector needs the saliency, so only its pass takes the bias
         assert calls == [use_prompter]
 
@@ -751,8 +778,7 @@ class TestOneStudentForBothArms:
         trainer.set_stage(bundle, trainer.STAGE_STUDENT)
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
         _, x_teacher = trainer.teacher_forward(bundle, batch, cfg)
-        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train",
-                                                          rng=np.random.default_rng(2))
+        logits, x_student, mask = trainer.student_forward(bundle, batch, cfg, "train")
         loss = T.add(surrogates.vqa_loss(logits, batch.answers),
                      qformer.distill_loss(bundle.decoder, x_student, x_teacher))
         backward(loss)
