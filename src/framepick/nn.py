@@ -8,7 +8,10 @@ bias is added to the attention logits; a zero-valued bias that takes a
 gradient measures how much each key matters to a loss (the teacher's frame
 saliency in `trainer.teacher_targets`). Keys and values enter unprojected:
 Wk and Wv act on the query side, so Q queries over L tokens cost
-O(Q·L·d + Q·d²), no key/value projection of the L tokens.
+O(Q·L·d + Q·d²), no key/value projection of the L tokens. Keys may also
+arrive factored, as coefficients over a small basis (`cross_attention`'s
+`basis`); the basis then joins Wk and Wv on the query side, and the L
+tokens are never formed at width d.
 """
 
 from __future__ import annotations
@@ -50,32 +53,47 @@ class AttentionParams:
 
 
 def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tensor,
-                    key_bias: Tensor | None = None, return_weights: bool = False):
+                    key_bias: Tensor | None = None, basis: Tensor | None = None,
+                    return_weights: bool = False):
     """softmax(Q K^T / sqrt(d) + key_bias) V, then Wo.
 
-    queries: [b, Lq, d]; keys_values: [b, Lk, d]; key_bias: optional [b, Lk],
-    added to every query's logits. With `return_weights`, also returns the
-    [b, Lq, Lk] attention weights.
+    queries: [b, Lq, d] or [Lq, d] (the same queries for every batch row);
+    keys_values: [b, Lk, d]; key_bias: optional [b, Lk], added to every
+    query's logits. With `return_weights`, also returns the [b, Lq, Lk]
+    attention weights.
 
     Wk and Wv are applied on the query side: the logits are
     ((Xq Wq) Wk^T) X^T and the output is ((A X) Wv) Wo. That costs
     O(Q·L·d + Q·d²), no key/value projection of the L tokens, and equals
     the projected form up to rounding.
+
+    With a [K, d] `basis`, keys_values holds [b, Lk, K] coefficients and the
+    keys are X = keys_values @ basis, which is never formed: the basis goes
+    on the query side too, so the logits are ((Xq Wq) Wk^T basis^T) X'^T
+    and the output ((A X') basis) Wv Wo, for X' = keys_values. The cost is
+    O(Q·L·K + Q·K·d + Q·d²), and no [b, Lk, d] array is formed.
     """
-    if queries.shape[-1] != params.d_model or keys_values.shape[-1] != params.d_model:
+    key_width = params.d_model if basis is None else basis.shape[0]
+    if queries.shape[-1] != params.d_model or keys_values.shape[-1] != key_width:
         raise ValueError(
-            f"token width must equal d_model={params.d_model}, got {queries.shape[-1]} / {keys_values.shape[-1]}")
+            f"query width must equal d_model={params.d_model} and key width {key_width}, "
+            f"got {queries.shape[-1]} / {keys_values.shape[-1]}")
     if key_bias is not None and key_bias.shape != keys_values.shape[:2]:
         raise ValueError(f"key_bias shape {key_bias.shape} does not match keys {keys_values.shape[:2]}")
 
-    b, lk, d = keys_values.shape
+    b, lk, _ = keys_values.shape
     q = T.matmul(T.matmul(queries, params.wq), T.transpose(params.wk, (1, 0)))
+    if basis is not None:
+        q = T.matmul(q, T.transpose(basis, (1, 0)))
 
-    logits = T.mul(T.matmul(q, T.transpose(keys_values, (0, 2, 1))), Tensor(1.0 / math.sqrt(d)))
+    logits = T.mul(T.matmul(q, T.transpose(keys_values, (0, 2, 1))), Tensor(1.0 / math.sqrt(params.d_model)))
     if key_bias is not None:
         logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
     weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]
-    out = T.matmul(T.matmul(T.matmul(weights, keys_values), params.wv), params.wo)
+    mixed = T.matmul(weights, keys_values)
+    if basis is not None:
+        mixed = T.matmul(mixed, basis)
+    out = T.matmul(T.matmul(mixed, params.wv), params.wo)
     if return_weights:
         return out, weights
     return out

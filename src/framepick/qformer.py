@@ -9,10 +9,12 @@ text. The output therefore always has one vector per text token, whatever
 the frame budget.
 
 Only the query positions of the self-attention block are ever read, so the
-block is computed for those rows alone: Q queries against all L = Q + Lv
-keys, O(Q·L·d + Q·d²), no key/value projection of the L tokens (see
-`nn.cross_attention`), instead of O(L²). At T=128 frames that is 8 of 520
-rows. Visual tokens still receive gradient through the keys and values.
+block is computed for those rows alone, and no visual token is projected to
+d_model: the fusion takes the frozen C-wide features with the stage's
+[C, d] projection, which joins Wk and Wv on the query side
+(`qformer_forward`). That costs O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d); at T=128
+frames the widest array is [B, 520, 16], not [B, 520, 64]. The features
+and the projection still receive gradient.
 """
 
 from __future__ import annotations
@@ -58,33 +60,40 @@ class QFormerParams:
         return out
 
 
-def qformer_forward(params: QFormerParams, visual_tokens: Tensor, text_tokens: Tensor,
+def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, text_tokens: Tensor,
                     key_bias: Tensor | None = None) -> Tensor:
-    """Fuse [B, Lv, d] visual tokens with [B, Lt, d] text -> [B, Lt, d].
+    """Fuse [B, Lv, C] visual features, projected by the [C, d] `proj`, with
+    [B, Lt, d] text -> [B, Lt, d].
 
     `key_bias` ([B, Lv]) is added to the self-attention logits of the visual
     keys; the query-token keys take no bias. The visual tokens must fit the
     frame budget: at most `frame_budget * patches` of them.
 
-    The self-attention block computes only the query rows, as
-    cross-attention from the query positions to the full sequence: nothing
-    reads its visual rows. This equals full self-attention followed by
-    `narrow` up to rounding (the BLAS sums a row subset of a matmul in a
-    different order).
+    The self-attention block computes only the query rows, from the [Q, d]
+    query tokens with no batch copy. Its keys are coeff @ basis, with
+    basis = [query tokens; proj] ([Q + C, d]) and coeff =
+    blockdiag(I_Q, visual_feats) ([B, Q + Lv, Q + C]); the product is not
+    formed (`nn.cross_attention`'s `basis`), so the cost is
+    O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d) and no [B, Lv, d] token tensor exists.
+    This equals projecting every token, running full self-attention and
+    then `narrow`, up to rounding.
     """
-    b, lv, d = visual_tokens.shape
+    b, lv, c = visual_feats.shape
     if lv > params.frame_budget * params.patches:
         raise ValueError(
             f"visual tokens ({lv}) exceed the frame budget "
             f"({params.frame_budget} frames x {params.patches} patches)")
     q = params.num_queries
-    queries = T.broadcast_to(T.reshape(params.query_tokens, (1, q, d)), (b, q, d))
-    seq = T.concat([queries, visual_tokens], axis=1)
+    basis = T.concat([params.query_tokens, proj], axis=0)
+    query_rows = Tensor(np.broadcast_to(np.eye(q, q + c), (b, q, q + c)))
+    visual_rows = T.concat([Tensor(np.zeros((b, lv, q))), visual_feats], axis=2)
+    coeff = T.concat([query_rows, visual_rows], axis=1)
 
     bias = None
     if key_bias is not None:
         bias = T.concat([Tensor(np.zeros((b, q))), key_bias], axis=1)
-    fused_queries = nn.cross_attention(params.self_attn, T.narrow(seq, 1, 0, q), seq, key_bias=bias)
+    fused_queries = nn.cross_attention(params.self_attn, params.query_tokens, coeff,
+                                       key_bias=bias, basis=basis)
     return nn.cross_attention(params.cross_attn, text_tokens, fused_queries)
 
 

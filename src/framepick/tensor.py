@@ -25,7 +25,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op output is already a float64 array; only other input is converted
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -56,9 +59,11 @@ class Tensor:
 
 def _op(data: np.ndarray, inputs, bw) -> Tensor:
     """Build an op output, recording parents/backward only on a grad path."""
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad:
-        out._parents = tuple(t for t in inputs if t.requires_grad)
+    out = Tensor(data)
+    parents = tuple(t for t in inputs if t.requires_grad)
+    if parents:
+        out.requires_grad = True
+        out._parents = parents
         out._bw = bw
     return out
 
@@ -126,17 +131,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
     def bw(g):
         _acc(x, np.transpose(g, inverse))
-
-    return _op(out_data, (x,), bw)
-
-
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    in_shape = x.data.shape
-    out_data = np.broadcast_to(x.data, shape).copy()
-
-    def bw(g):
-        _acc(x, _unbroadcast(g, in_shape))
 
     return _op(out_data, (x,), bw)
 

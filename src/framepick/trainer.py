@@ -209,13 +209,15 @@ def make_batch(samples) -> Batch:
 
 
 def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, key_bias: Tensor | None = None):
-    """All-frames fusion: returns (answer logits, fusion output). `key_bias`
-    ([B, T * N]) goes to the fusion's self-attention logits of the visual tokens."""
+    """All-frames fusion: returns (answer logits, fusion output). The fusion
+    reads all T * N frozen C-wide features with `teacher_proj`, and no token
+    is projected to d_model (see `qformer_forward`). `key_bias` ([B, T * N])
+    goes to the fusion's self-attention logits of the visual tokens."""
     b, t, n, _ = batch.raw.shape
     feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)
-    tokens = T.reshape(T.matmul(feats, bundle.teacher_proj), (b, t * n, bundle.teacher_proj.shape[1]))
+    feats = T.reshape(feats, (b, t * n, feats.shape[-1]))
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
-    fused = qformer.qformer_forward(bundle.teacher_qf, tokens, text, key_bias=key_bias)
+    fused = qformer.qformer_forward(bundle.teacher_qf, feats, bundle.teacher_proj, text, key_bias=key_bias)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(fused, choices, bundle.answer)
     return logits, fused
@@ -228,11 +230,10 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
     mask's logits differentiable for the selector's label cross entropy,
     mode "infer" detaches them. With no selector, `prompter.uniform_mask`
     stands in. `frame_keys` gathers the S picked frames once, from the
-    frozen C-wide features, and only those S * N keys per video are
-    projected to d_model (the projection is per token, so this equals
-    projecting every frame, then gathering). The student fusion reads them
-    with the question, and its output is what the answer head scores: both
-    arms run this one model and differ only in their picks.
+    frozen C-wide features, and the student fusion reads those S * N keys
+    with `student_proj` and the question; no token is projected to d_model
+    (see `qformer_forward`). Its output is what the answer head scores:
+    both arms run this one model and differ only in their picks.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -244,8 +245,8 @@ def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: s
                                       keep_graph=mode == "train")
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
-    vis = T.matmul(prompter.frame_keys(feats, mask), bundle.student_proj)  # [B, S * N, d]
-    x_student = qformer.qformer_forward(bundle.student_qf, vis, text)
+    x_student = qformer.qformer_forward(bundle.student_qf, prompter.frame_keys(feats, mask),
+                                        bundle.student_proj, text)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(x_student, choices, bundle.answer)
     return logits, x_student, mask

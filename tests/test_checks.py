@@ -43,7 +43,7 @@ def test_wrong_backward_is_reported(monkeypatch):
     failed = {r.name for r in checks.run_scope("end2end") if not r.passed}
     assert failed == {"end2end.student_cross_wq", "end2end.student_proj",
                       "end2end.student_queries", "end2end.teacher_self_wk",
-                      "end2end.teacher_key_bias"}
+                      "end2end.teacher_proj", "end2end.teacher_key_bias"}
 
 
 def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):

@@ -178,6 +178,49 @@ class TestProjectionOrder:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
+class TestKeyBasis:
+    """With a [K, d] `basis`, `cross_attention` reads [b, Lk, K] coefficients
+    and never forms the keys: it must equal attending over the formed keys
+    coeff @ basis, within 1e-12 of the largest magnitude, in outputs and in
+    every gradient. The queries are one [Lq, d] set for every batch row."""
+
+    def run(self, params, xq, coeff, basis, bias, readout, factored):
+        leaves = {name.split(".")[-1]: p for name, p in params.named("a").items()}
+        for p in leaves.values():
+            p.grad = None
+        for name, value in (("queries", xq), ("coeff", coeff), ("basis", basis), ("key_bias", bias)):
+            leaves[name] = Tensor(value.copy(), requires_grad=True)
+        if factored:
+            out = nn.cross_attention(params, leaves["queries"], leaves["coeff"],
+                                     key_bias=leaves["key_bias"], basis=leaves["basis"])
+        else:
+            keys = T.matmul(leaves["coeff"], leaves["basis"])
+            out = nn.cross_attention(params, leaves["queries"], keys, key_bias=leaves["key_bias"])
+        T.backward(T.sum_all(T.mul(out, Tensor(readout))))
+        return out.data, {name: leaf.grad.copy() for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("lk", [3, 9], ids=["Lk<K", "Lk>K"])
+    def test_matches_formed_keys(self, lk):
+        rng = np.random.default_rng(lk)
+        b, lq, k, d = 2, 3, 5, 6
+        params = make_attn(d=d, rng=rng)
+        args = (rng.normal(size=(lq, d)), rng.normal(size=(b, lk, k)), rng.normal(size=(k, d)),
+                rng.normal(size=(b, lk)), rng.normal(size=(b, lq, d)))
+        out, grads = self.run(params, *args, factored=True)
+        ref_out, ref_grads = self.run(params, *args, factored=False)
+        assert grads.keys() == ref_grads.keys()
+        for name, got, ref in [("out", out, ref_out)] + [(n, grads[n], ref_grads[n]) for n in sorted(grads)]:
+            assert got.shape == ref.shape, name
+            assert np.any(ref != 0.0), name
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_coefficient_width_must_match_the_basis(self, rng):
+        params = make_attn(d=4, rng=rng)
+        with pytest.raises(ValueError, match="key width 6, got 4 / 5"):
+            nn.cross_attention(params, Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(1, 3, 5))),
+                               basis=Tensor(rng.normal(size=(6, 4))))
+
+
 class TestSelfAttention:
     def test_single_token(self, rng):
         params = make_attn(d=4, rng=rng)

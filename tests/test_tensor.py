@@ -16,6 +16,27 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class TestConstruction:
+    def test_float64_array_is_kept(self):
+        data = np.arange(6.0).reshape(2, 3)
+        assert Tensor(data).data is data
+
+    @pytest.mark.parametrize("data", [[1, 2], 3, np.arange(3, dtype=np.float32)],
+                             ids=["list", "scalar", "float32"])
+    def test_other_input_is_converted(self, data):
+        t = Tensor(data)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert t.data is not data
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_op_output_takes_grad_from_its_inputs(self):
+        frozen, live = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+        out = T.add(frozen, live)
+        assert out.requires_grad and out._parents == (live,)
+        out = T.add(frozen, frozen)
+        assert not out.requires_grad and out._parents == () and out._bw is None
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
@@ -322,14 +343,6 @@ class TestShapeOps:
             return T.sum_all(T.narrow(cat, 1, 1, 3))
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 2))), tol=1e-6).passed
-
-    def test_broadcast_to_gradient(self, rng):
-        w = rng.normal(size=(4, 3))
-
-        def f(x):
-            return T.sum_all(T.mul(T.broadcast_to(x, (4, 3)), Tensor(w)))
-
-        assert grad_check(f, Tensor(rng.normal(size=(1, 3))), tol=1e-6).passed
 
     def test_take_rows_gradient_scatter_adds(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
