@@ -32,8 +32,8 @@ def _jitter(x: np.ndarray, margin: float = 0.15) -> np.ndarray:
 
 
 def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
-    """Every differentiable primitive of `tensor` (each one has a model
-    caller), `instances` random points each."""
+    """Every differentiable primitive of `tensor`, `instances` random points
+    each; all but `sum_all`, the suites' scalar reducer, have a model caller."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -65,10 +65,7 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
         ids = rng.integers(0, 3, size=(2, 2))
         check(f"take_rows[{i}]", lambda a: T.sum_all(T.mul(T.take_rows(a, ids), Tensor(w224))),
               rng.normal(size=(3, 4)))
-        idx = np.stack([rng.choice(4, size=2, replace=False) for _ in range(2)])
-        check(f"gather_frames[{i}]", lambda a: T.sum_all(T.gather_frames(a, idx)), rng.normal(size=(2, 4, 3)))
         check(f"concat[{i}]", lambda a: T.sum_all(T.concat([a, Tensor(w23)], axis=0)), rng.normal(size=(2, 3)))
-        check(f"narrow[{i}]", lambda a: T.sum_all(T.narrow(a, 1, 1, 2)), rng.normal(size=(2, 4)))
         check(f"transpose[{i}]", lambda a: T.sum_all(T.mul(T.transpose(a, (1, 0)), Tensor(w23.T))),
               rng.normal(size=(2, 3)))
         check(f"reshape[{i}]", lambda a: T.sum_all(T.mul(T.reshape(a, (6,)), Tensor(w6))),
@@ -94,7 +91,7 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     from . import surrogates, synth
 
     spec = synth.DatasetSpec(num_train=4, num_val=2, frames=8, patches=3, num_keyframes=2, seed=seed)
-    pcfg = prompter.FramePrompterConfig(frames=8, segments=2, channels=4, d_model=12, embed_hidden=6)
+    pcfg = prompter.FramePrompterConfig(frames=8, segments=2, d_model=12, embed_hidden=6)
     cfg = trainer.TrainConfig(seed=seed, teacher_steps=1, student_steps=1, prompter_cfg=pcfg, data=spec)
     train_samples, _ = synth.generate(spec)
     bundle = trainer.build_models(cfg)

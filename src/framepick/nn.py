@@ -53,14 +53,12 @@ class AttentionParams:
 
 
 def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tensor,
-                    key_bias: Tensor | None = None, basis: Tensor | None = None,
-                    return_weights: bool = False):
+                    key_bias: Tensor | None = None, basis: Tensor | None = None) -> Tensor:
     """softmax(Q K^T / sqrt(d) + key_bias) V, then Wo.
 
     queries: [b, Lq, d] or [Lq, d] (the same queries for every batch row);
     keys_values: [b, Lk, d]; key_bias: optional [b, Lk], added to every
-    query's logits. With `return_weights`, also returns the [b, Lq, Lk]
-    attention weights.
+    query's logits.
 
     Wk and Wv are applied on the query side: the logits are
     ((Xq Wq) Wk^T) X^T and the output is ((A X) Wv) Wo. That costs
@@ -93,16 +91,12 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
     mixed = T.matmul(weights, keys_values)
     if basis is not None:
         mixed = T.matmul(mixed, basis)
-    out = T.matmul(T.matmul(mixed, params.wv), params.wo)
-    if return_weights:
-        return out, weights
-    return out
+    return T.matmul(T.matmul(mixed, params.wv), params.wo)
 
 
-def self_attention(params: AttentionParams, tokens: Tensor,
-                   key_bias: Tensor | None = None, return_weights: bool = False):
+def self_attention(params: AttentionParams, tokens: Tensor, key_bias: Tensor | None = None) -> Tensor:
     """Cross-attention with queries == keys_values."""
-    return cross_attention(params, tokens, tokens, key_bias=key_bias, return_weights=return_weights)
+    return cross_attention(params, tokens, tokens, key_bias=key_bias)
 
 
 @dataclass
@@ -111,7 +105,7 @@ class MlpParams:
 
     steps entries:
       ("fc", weight, bias_or_None)
-      ("ln", gain, bias, eps)
+      ("ln", gain, bias)         layer norm (eps `tensor.LAYER_NORM_EPS`)
       ("act",)                   the relu activation
     Consecutive fc shapes must compose; `mlp_apply` raises otherwise.
     """
@@ -139,8 +133,8 @@ def fc_step(d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True,
     return ("fc", w, b)
 
 
-def ln_step(d: int, eps: float = 1e-5):
-    return ("ln", Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True), eps)
+def ln_step(d: int):
+    return ("ln", Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True))
 
 
 def act_step():
@@ -159,10 +153,10 @@ def mlp_apply(params: MlpParams, x: Tensor) -> Tensor:
             if b is not None:
                 x = T.add(x, b)
         elif kind == "ln":
-            _, gain, bias, eps = step
+            _, gain, bias = step
             if x.shape[-1] != gain.shape[0]:
                 raise ValueError(f"layer-norm width {gain.shape[0]} does not match input {x.shape[-1]}")
-            x = T.layer_norm(x, gain, bias, eps)
+            x = T.layer_norm(x, gain, bias)
         elif kind == "act":
             x = T.relu(x)
         else:

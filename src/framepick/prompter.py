@@ -8,8 +8,9 @@ question reaches only the student fusion, after the pick. This module
 builds every `SelectionMask`, also the no-selector arms' fixed pick
 (`uniform_mask`). `frame_keys` gathers the picked frames' tokens from
 per-frame features of any width. The student forward calls it once, on
-the frozen visual features, projects only the keys it returns, and fuses
-them with the question text in the student fusion.
+the frozen C-wide visual features; the student fusion reads the keys it
+returns unprojected, with its projection on the query side
+(`qformer.qformer_forward`), and fuses them with the question text.
 
 The pick has one rule, in training and at inference: each segment's
 argmax frame, so the student trains on the picks it is scored on. No
@@ -34,17 +35,17 @@ from .tensor import Tensor
 @dataclass
 class FramePrompterConfig:
     """Selector and fusion sizes. The patch count N is the dataset's
-    (`DatasetSpec.patches`): the selector reads it from its input, and
-    `FramePrompterParams.init` takes it as an argument."""
+    (`DatasetSpec.patches`) and the channel count C the visual encoder's
+    (`surrogates.CHANNELS`): the selector reads both from its input, and
+    `FramePrompterParams.init` takes N as an argument."""
 
     frames: int = 32            # T, input frames
     segments: int = 4           # S, also the selected-frame count (one per segment)
-    channels: int = 8           # C, channels per patch from the visual encoder
     d_model: int = 64           # width of the fusion models; the text-blind selector does not read it
     embed_hidden: int = 32
 
     def __post_init__(self):
-        for name in ("channels", "d_model", "embed_hidden"):
+        for name in ("d_model", "embed_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.segments <= self.frames:
@@ -102,8 +103,8 @@ class SelectionMask:
 
 def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
     """[B, T, N, C] -> mean over channels -> per-frame MLP -> [B, T, N]."""
-    if x.ndim != 4 or (x.shape[1], x.shape[3]) != (cfg.frames, cfg.channels):
-        raise ValueError(f"expected [B, {cfg.frames}, N, {cfg.channels}], got {x.shape}")
+    if x.ndim != 4 or x.shape[1] != cfg.frames:
+        raise ValueError(f"expected [B, {cfg.frames}, N, C], got {x.shape}")
     pooled = T.mean_axis(x, axis=3)
     return nn.mlp_apply(params.embed, pooled)
 
@@ -143,12 +144,14 @@ def sample_frames(logits: Tensor, cfg: FramePrompterConfig, keep_graph: bool = F
 
 def frame_keys(x_tokens: Tensor, mask: SelectionMask) -> Tensor:
     """[B, T, N, width] per-frame tokens or features of any width -> the
-    selected frames' tokens, [B, S * N, width], in frame order."""
-    b, _, n, width = x_tokens.shape
+    selected frames' tokens, [B, S * N, width], in frame order: one
+    `take_rows` of the [B * T * N, width] token rows."""
+    b, t, n, width = x_tokens.shape
     if not all(mask.selected):
         raise ValueError("no attendable keys: a batch row selected zero frames")
-    idx = np.array(mask.selected)
-    return T.reshape(T.gather_frames(x_tokens, idx), (b, idx.shape[1] * n, width))
+    frames = np.array(mask.selected) + t * np.arange(b)[:, None]           # [B, S] rows of [B * T, ...]
+    rows = (frames[:, :, None] * n + np.arange(n)).reshape(b, -1)          # [B, S * N]
+    return T.take_rows(T.reshape(x_tokens, (b * t * n, width)), rows)
 
 
 def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,

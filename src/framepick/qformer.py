@@ -76,7 +76,7 @@ def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, t
     formed (`nn.cross_attention`'s `basis`), so the cost is
     O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d) and no [B, Lv, d] token tensor exists.
     This equals projecting every token, running full self-attention and
-    then `narrow`, up to rounding.
+    then keeping the query rows, up to rounding.
     """
     b, lv, c = visual_feats.shape
     if lv > params.frame_budget * params.patches:
@@ -99,13 +99,14 @@ def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, t
 
 @dataclass
 class DistillDecoderParams:
-    """Maps student fusion output into the teacher's feature space: FC then LayerNorm."""
+    """Maps student fusion output into the teacher's feature space (both
+    d_model wide): FC then LayerNorm."""
 
     decoder: nn.MlpParams
 
     @classmethod
-    def init(cls, d_student: int, d_teacher: int, rng: np.random.Generator) -> "DistillDecoderParams":
-        return cls(decoder=nn.MlpParams([nn.fc_step(d_student, d_teacher, rng), nn.ln_step(d_teacher)]))
+    def init(cls, d: int, rng: np.random.Generator) -> "DistillDecoderParams":
+        return cls(decoder=nn.MlpParams([nn.fc_step(d, d, rng), nn.ln_step(d)]))
 
     def named(self, prefix: str) -> dict:
         return self.decoder.named(f"{prefix}.fc_ln")

@@ -16,6 +16,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+# C, the visual encoder's channels per patch: the width of every video feature
+CHANNELS = 8
+
 
 @dataclass
 class SurrogateVisualEncoder:
@@ -62,26 +65,23 @@ class SurrogateTextEncoder:
 
 
 def encode_text(tokens: np.ndarray, enc: SurrogateTextEncoder) -> Tensor:
-    """[B, Lt] int token ids -> [B, Lt, d_model] (embedding + position)."""
+    """[..., L] int token ids -> [..., L, d_model]: each id's embedding row
+    plus its position's row, added by broadcasting over the leading axes."""
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise ValueError(f"expected a [B, Lt] token batch, got shape {tokens.shape}")
+    if tokens.ndim < 1:
+        raise ValueError(f"expected [..., L] token ids, got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= enc.vocab):
         raise IndexError(f"token id out of vocabulary (V={enc.vocab})")
-    lt = tokens.shape[1]
-    if lt > enc.positional.shape[0]:
-        raise ValueError(f"sequence length {lt} exceeds positional table {enc.positional.shape[0]}")
-    emb = T.take_rows(enc.embedding, tokens)
-    pos = T.reshape(T.narrow(enc.positional, 0, 0, lt), (1, lt, enc.positional.shape[1]))
-    return T.add(emb, pos)
+    length = tokens.shape[-1]
+    if length > enc.positional.shape[0]:
+        raise ValueError(f"sequence length {length} exceeds positional table {enc.positional.shape[0]}")
+    return T.add(T.take_rows(enc.embedding, tokens), T.take_rows(enc.positional, np.arange(length)))
 
 
 def encode_choices(choice_tokens: np.ndarray, enc: SurrogateTextEncoder) -> Tensor:
-    """[B, A, Lc] token ids -> [B, A, d_model], mean-pooled over Lc."""
-    choice_tokens = np.asarray(choice_tokens)
-    b, a, lc = choice_tokens.shape
-    flat = encode_text(choice_tokens.reshape(b * a, lc), enc)
-    return T.mean_axis(T.reshape(flat, (b, a, lc, enc.embedding.shape[1])), axis=2)
+    """[B, A, Lc] token ids -> [B, A, d_model]: one `encode_text` call,
+    mean-pooled over Lc."""
+    return T.mean_axis(encode_text(choice_tokens, enc), axis=2)
 
 
 @dataclass

@@ -150,23 +150,9 @@ def concat(parts, axis: int) -> Tensor:
     return _op(out_data, tuple(parts), bw)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; backward zero-pads."""
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = x.data[sl].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[sl] = g
-        _acc(x, full)
-
-    return _op(out_data, (x,), bw)
-
-
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup `table[ids]`; backward scatter-adds into the table."""
+    """The one row lookup: `table[ids]` for a [R, W] table and integer ids
+    of any shape -> [*ids.shape, W]; backward scatter-adds into the table."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("take_rows ids must be integers")
@@ -182,20 +168,6 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         _acc(table, gt)
 
     return _op(out_data, (table,), bw)
-
-
-def gather_frames(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select per-batch slices: out[b, s] = x[b, idx[b, s]] along axis 1."""
-    idx = np.asarray(idx)
-    batch = np.arange(x.data.shape[0])[:, None]
-    out_data = x.data[batch, idx]
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (batch, idx), g)
-        _acc(x, gx)
-
-    return _op(out_data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +237,18 @@ def relu(x: Tensor) -> Tensor:
     return _op(out_data, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.data.shape[-1]
-    if d == 0:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (variance plus
+    LAYER_NORM_EPS), then affine."""
+    if x.data.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last dimension")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 

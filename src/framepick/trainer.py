@@ -158,28 +158,25 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     comparisons under a shared seed start from identical student weights.
     """
     data = cfg.data
-    d = cfg.prompter_cfg.d_model
-    visual = SurrogateVisualEncoder.init(synth.RAW_DIM, cfg.prompter_cfg.channels,
-                                         data.patches, seed=cfg.seed)
+    d, c = cfg.prompter_cfg.d_model, surrogates.CHANNELS
+    visual = SurrogateVisualEncoder.init(synth.RAW_DIM, c, data.patches, seed=cfg.seed)
 
     def stream(tag):
         return np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag))))
 
     rng_t = stream(10)
-    teacher_proj = Tensor(rng_t.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
-                          requires_grad=True)
+    teacher_proj = Tensor(rng_t.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
     teacher_qf = QFormerParams.init(d, NUM_QUERIES, data.frames, data.patches, rng_t)
     text_enc = SurrogateTextEncoder.init(synth.VOCAB, d, TEXT_POSITIONS, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
-    student_proj = Tensor(rng_s.normal(size=(cfg.prompter_cfg.channels, d)) / math.sqrt(cfg.prompter_cfg.channels),
-                          requires_grad=True)
+    student_proj = Tensor(rng_s.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
     student_qf = QFormerParams.init(d, NUM_QUERIES, cfg.prompter_cfg.segments, data.patches, rng_s)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, data.patches, stream(30))
                        if cfg.use_prompter else None)
-    decoder = DistillDecoderParams.init(d, d, stream(40))
+    decoder = DistillDecoderParams.init(d, stream(40))
     return ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
                        teacher_proj=teacher_proj, teacher_qf=teacher_qf,
                        student_proj=student_proj, student_qf=student_qf,
@@ -262,24 +259,24 @@ class AdamWState:
     step: int = 0
 
 
-def cosine_lr(step: int, total: int, lr_max: float, lr_min: float) -> float:
+def cosine_lr(step: int, total: int) -> float:
     if total == 0:
         raise ValueError("total steps must be positive")
     if not 0 <= step <= total:
         raise ValueError(f"step {step} outside [0, {total}]")
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total))
+    return LR_MIN + 0.5 * (LR - LR_MIN) * (1.0 + math.cos(math.pi * step / total))
 
 
-def clip_global_norm(params: dict, max_norm: float) -> tuple[float, float]:
-    """Scale all gradients so their global norm is at most max_norm."""
+def clip_global_norm(params: dict) -> tuple[float, float]:
+    """Scale all gradients so their global norm is at most GRAD_CLIP."""
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
             sq += float((p.grad * p.grad).sum())
     norm = math.sqrt(sq)
     scale = 1.0
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -298,8 +295,7 @@ ADAM_EPS = 1e-8
 GRAD_CLIP = 1.0
 
 
-def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: float,
-               eps: float, weight_decay: float) -> None:
+def adamw_step(params: dict, state: AdamWState, lr: float) -> None:
     """Decoupled weight decay AdamW with bias-corrected moments.
 
     Missing gradients count as zeros (unreached parameters still decay).
@@ -310,19 +306,19 @@ def adamw_step(params: dict, state: AdamWState, lr: float, beta1: float, beta2: 
             raise RuntimeError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name in params:
         p = params[name]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         mh = state.m[name] / bc1
         vh = state.v[name] / bc2
-        p.data = p.data - lr * (mh / (np.sqrt(vh) + eps) + weight_decay * p.data)
+        p.data = p.data - lr * (mh / (np.sqrt(vh) + ADAM_EPS) + WEIGHT_DECAY * p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +380,6 @@ class MetricsWriter:
     def close(self) -> None:
         self._csv_file.close()
         self._jsonl_file.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +575,9 @@ def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     loss = T.add(loss_vqa, loss_distill)
     recall = None
     if low is not None:
-        scores = T.gather_frames(mask.logits, (low // fps)[:, None])  # [B, 1, T/S]
-        loss = T.add(loss, T.cross_entropy(T.reshape(scores, (low.size, fps)), low % fps))
+        s = cfg.prompter_cfg.segments  # one [T/S] row of the [B * S, T/S] scores per video
+        scores = T.take_rows(T.reshape(mask.logits, (low.size * s, fps)), low // fps + s * np.arange(low.size))
+        loss = T.add(loss, T.cross_entropy(scores, low % fps))
         recall = float(np.mean(keyframe_recalls(mask.selected, batch.keyframes)))
     return loss, logits, {"loss_vqa": loss_vqa.item(), "loss_distill": loss_distill.item(),
                           "keyframe_recall": recall}
@@ -635,7 +626,7 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
     try:
         for step in range(start_step, steps):
             t0 = time.perf_counter()
-            lr = cosine_lr(step, steps, LR, LR_MIN)
+            lr = cosine_lr(step, steps)
             batch = _draw_batch(train_samples, cfg.batch_size, rng)
             loss, logits, fields = loss_fn(bundle, batch, cfg)
             if not math.isfinite(loss.item()):
@@ -643,8 +634,8 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
             backward(loss)
             audit_frozen_gradients(bundle, stage)
             for group in clip_groups:
-                clip_global_norm(group, GRAD_CLIP)
-            adamw_step(params, opt, lr, BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY)
+                clip_global_norm(group)
+            adamw_step(params, opt, lr)
             for p in params.values():
                 p.grad = None
             acc = float((logits.data.argmax(axis=1) == batch.answers).mean())
@@ -717,21 +708,6 @@ def keyframe_recalls(selected, keyframes) -> list:
     return [len(set(sel) & set(kf)) / len(kf) for sel, kf in zip(selected, keyframes)]
 
 
-def _evaluate_batch(bundle: ModelBundle, cfg: TrainConfig, batch: Batch, stage: str):
-    """(summed answer loss, correct count, student picks or None) of one batch.
-
-    Returns no tensor, so the batch's graph is freed before the next forward.
-    """
-    selected = None
-    if stage == STAGE_TEACHER:
-        logits, _ = teacher_forward(bundle, batch, cfg)
-    else:
-        logits, _, mask = student_forward(bundle, batch, cfg, "infer")
-        selected = mask.selected
-    loss = surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers)
-    return loss, int((logits.data.argmax(axis=1) == batch.answers).sum()), selected
-
-
 def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: int = 0,
              batch_size: int = 64):
     """Deterministic full pass over `samples`; the student reads its "infer" picks.
@@ -751,13 +727,15 @@ def evaluate(bundle: ModelBundle, cfg: TrainConfig, samples, stage: str, step: i
     selections = []
     for lo in range(0, len(samples), batch_size):
         batch = make_batch(samples[lo:lo + batch_size])
-        loss, batch_correct, selected = _evaluate_batch(bundle, cfg, batch, stage)
-        losses.append(loss)
-        correct += batch_correct
-        if selected is not None:
-            selections.extend(selected)
+        if stage == STAGE_TEACHER:
+            logits, _ = teacher_forward(bundle, batch, cfg)
+        else:
+            logits, _, mask = student_forward(bundle, batch, cfg, "infer")
+            selections.extend(mask.selected)
             if bundle.prompter_params is not None:
-                recalls.extend(keyframe_recalls(selected, batch.keyframes))
+                recalls.extend(keyframe_recalls(mask.selected, batch.keyframes))
+        losses.append(surrogates.vqa_loss(logits, batch.answers).item() * len(batch.answers))
+        correct += int((logits.data.argmax(axis=1) == batch.answers).sum())
 
     row = MetricsRow(step=step, split="val",
                      loss_vqa=float(np.sum(losses) / len(samples)),

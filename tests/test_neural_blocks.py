@@ -20,6 +20,27 @@ def mask_bias(mask):
     return np.where(mask == 1.0, 0.0, -1e9)
 
 
+def reference_attention(params, queries, kv, bias=None):
+    """(output, weights) of softmax((Xq Wq)(X Wk)^T / sqrt(d) + bias)(X Wv) Wo,
+    in numpy with the keys and values projected explicitly."""
+    logits = (queries @ params.wq.data) @ np.swapaxes(kv @ params.wk.data, -1, -2) / np.sqrt(params.d_model)
+    if bias is not None:
+        logits = logits + bias[:, None, :]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights @ (kv @ params.wv.data) @ params.wo.data, weights
+
+
+def tied_keys(rng, b, lk, d=4):
+    """Attention whose Wk reads only coordinate 0, and [b, lk, d] tokens that
+    share it: the keys tie while the values differ."""
+    params = make_attn(d=d, rng=rng)
+    params.wk.data[1:] = 0.0
+    kv = rng.normal(size=(b, lk, d))
+    kv[..., 0] = rng.normal()
+    return params, kv
+
+
 class TestCrossAttention:
     def test_single_key_ignores_query_content(self, rng):
         params = make_attn(d=4, rng=rng)
@@ -32,18 +53,27 @@ class TestCrossAttention:
         assert np.allclose(out_a.data, out_b.data)
 
     def test_identical_keys_give_uniform_weights(self, rng):
-        params = make_attn(d=4, rng=rng)
-        key = rng.normal(size=4)
-        kv = Tensor(np.tile(key, (1, 5, 1)))
-        out, weights = nn.cross_attention(params, Tensor(rng.normal(size=(1, 2, 4))), kv,
-                                          return_weights=True)
-        assert np.allclose(weights.data, 0.2)
+        # tied keys: every query reads the mean of the five values
+        params, kv = tied_keys(rng, 1, 5)
+        queries = rng.normal(size=(1, 2, 4))
+        out = nn.cross_attention(params, Tensor(queries), Tensor(kv))
+        ref_out, weights = reference_attention(params, queries, kv)
+        assert np.allclose(weights, 0.2, rtol=0, atol=1e-12)
+        assert np.allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        mean_value = kv.mean(axis=1) @ params.wv.data @ params.wo.data
+        assert np.allclose(out.data, mean_value[:, None, :], rtol=0, atol=1e-12)
 
     def test_weight_rows_sum_to_one(self, rng):
-        params = make_attn(d=8, rng=rng)
-        _, weights = nn.cross_attention(params, Tensor(rng.normal(size=(2, 3, 8))),
-                                        Tensor(rng.normal(size=(2, 5, 8))), return_weights=True)
-        assert np.all(np.abs(weights.data.sum(axis=-1) - 1.0) <= 1e-12)
+        # with Wv = Wo = I, a value coordinate that is 1 on every key comes
+        # out as the sum of the query's weights
+        d = 8
+        params = make_attn(d=d, rng=rng)
+        params.wv, params.wo = Tensor(np.eye(d)), Tensor(np.eye(d))
+        queries, kv = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 5, d))
+        kv[..., -1] = 1.0
+        out = nn.cross_attention(params, Tensor(queries), Tensor(kv))
+        assert np.all(np.abs(out.data[..., -1] - 1.0) <= 1e-12)
+        assert np.allclose(out.data, reference_attention(params, queries, kv)[0], rtol=0, atol=1e-12)
 
     def test_gradient_wrt_wq(self, rng):
         queries = rng.normal(size=(1, 2, 4))
@@ -59,18 +89,17 @@ class TestCrossAttention:
 
     def test_convex_combination_of_values(self, rng):
         # with Wv = Wo = I the output rows must be convex combinations of the
-        # raw value rows; the returned weights certify it exactly
+        # raw value rows, with the reference's softmax weights
         d = 4
         params = nn.AttentionParams(
             wq=Tensor(rng.normal(size=(d, d))), wk=Tensor(rng.normal(size=(d, d))),
             wv=Tensor(np.eye(d)), wo=Tensor(np.eye(d)))
-        kv = rng.normal(size=(1, 6, d))
-        out, weights = nn.cross_attention(params, Tensor(rng.normal(size=(1, 3, d))),
-                                          Tensor(kv), return_weights=True)
-        w = weights.data[0]
-        assert weights.shape == (1, 3, 6)
-        assert np.all(w >= 0) and np.allclose(w.sum(axis=-1), 1.0)
-        assert np.allclose(out.data[0], w @ kv[0], atol=1e-12)
+        queries, kv = rng.normal(size=(1, 3, d)), rng.normal(size=(1, 6, d))
+        out = nn.cross_attention(params, Tensor(queries), Tensor(kv))
+        _, weights = reference_attention(params, queries, kv)
+        assert np.all(weights >= 0) and np.allclose(weights.sum(axis=-1), 1.0)
+        assert np.allclose(out.data, weights @ kv, rtol=0, atol=1e-12)
+        assert np.all((out.data >= kv.min(axis=1) - 1e-12) & (out.data <= kv.max(axis=1) + 1e-12))
 
     def test_hard_mask_removes_key_exactly(self, rng):
         # a 0/1 key mask enters as a key bias of 0 on kept keys and -1e9 on
@@ -94,14 +123,14 @@ class TestCrossAttention:
         assert np.array_equal(masked.data, plain.data)
 
     def test_key_bias_reweights_identical_keys(self, rng):
-        # identical keys tie the dot products, so the weights are softmax(bias)
-        params = make_attn(d=4, rng=rng)
-        kv = Tensor(np.tile(rng.normal(size=(1, 1, 4)), (2, 3, 1)))
-        bias = rng.normal(size=(2, 3))
-        _, weights = nn.cross_attention(params, Tensor(rng.normal(size=(2, 2, 4))), kv,
-                                        key_bias=Tensor(bias), return_weights=True)
+        # tied keys tie the dot products, so the weights are softmax(bias)
+        params, kv = tied_keys(rng, 2, 3)
+        queries, bias = rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 3))
+        out = nn.cross_attention(params, Tensor(queries), Tensor(kv), key_bias=Tensor(bias))
         expect = np.exp(bias) / np.exp(bias).sum(axis=1, keepdims=True)
-        assert np.allclose(weights.data, expect[:, None, :], atol=1e-12)
+        values = kv @ params.wv.data @ params.wo.data
+        assert np.allclose(out.data, (expect[:, None, :] @ values).repeat(2, axis=1), rtol=0, atol=1e-12)
+        assert np.allclose(out.data, reference_attention(params, queries, kv, bias)[0], rtol=0, atol=1e-12)
 
     def test_key_bias_gradient(self, rng):
         params = make_attn(d=4, rng=rng)
@@ -257,7 +286,7 @@ class TestMlp:
     def test_fc_ln_with_zero_weights_gives_bias(self, rng):
         gain = Tensor(np.ones(3), requires_grad=True)
         bias = Tensor(rng.normal(size=3), requires_grad=True)
-        params = nn.MlpParams([("fc", Tensor(np.zeros((4, 3))), None), ("ln", gain, bias, 1e-5)])
+        params = nn.MlpParams([("fc", Tensor(np.zeros((4, 3))), None), ("ln", gain, bias)])
         out = nn.mlp_apply(params, Tensor(rng.normal(size=(2, 4))))
         assert np.allclose(out.data, bias.data)
 
@@ -270,7 +299,7 @@ class TestMlp:
         bias = rng.normal(size=d)
         params = nn.MlpParams([
             ("fc", Tensor(w1), None),
-            ("ln", Tensor(gain), Tensor(bias), 1e-5),
+            ("ln", Tensor(gain), Tensor(bias)),
             nn.act_step(),
             ("fc", Tensor(w2), Tensor(b2)),
         ])

@@ -15,10 +15,11 @@ def rng():
 
 
 N = 4  # patch tokens per frame
+C = 3  # channels per patch
 
 
 def small_cfg(**kw):
-    base = dict(frames=8, segments=4, channels=3, d_model=8, embed_hidden=6)
+    base = dict(frames=8, segments=4, d_model=8, embed_hidden=6)
     base.update(kw)
     return FramePrompterConfig(**base)
 
@@ -38,7 +39,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(frames=10, segments=4)
 
-    @pytest.mark.parametrize("field", ["channels", "d_model", "embed_hidden"])
+    @pytest.mark.parametrize("field", ["d_model", "embed_hidden"])
     def test_zero_size_field_named(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
             small_cfg(**{field: 0})
@@ -52,7 +53,7 @@ class TestConfig:
 
 class TestPoolAndEmbed:
     def test_constant_input_gives_constant_frames(self, cfg, params):
-        x = Tensor(np.full((2, cfg.frames, N, cfg.channels), 1.5))
+        x = Tensor(np.full((2, cfg.frames, N, C), 1.5))
         out = pool_and_embed(x, params, cfg)
         assert out.shape == (2, cfg.frames, N)
         # constancy propagates through the mean and the per-frame embedding
@@ -60,9 +61,8 @@ class TestPoolAndEmbed:
         # regression pin so silent changes to the embed stack are caught
         assert out.data[0, 0, 0] == pytest.approx(out.data[1, 3, 0], abs=0)
 
-    def test_single_channel_mean_is_identity(self, rng):
-        cfg = small_cfg(channels=1)
-        params = FramePrompterParams.init(cfg, N, rng)
+    def test_single_channel_mean_is_identity(self, cfg, params, rng):
+        # the selector reads C from its input, so one channel needs no other config
         x = rng.normal(size=(1, cfg.frames, N, 1))
         pooled = T.mean_axis(Tensor(x), 3)
         assert np.array_equal(pooled.data, x[..., 0])
@@ -74,7 +74,7 @@ class TestPoolAndEmbed:
             pool_and_embed(Tensor(np.zeros((1, 4, 4, 3))), params, cfg)
 
     def test_gradient_through_chain(self, cfg, params, rng):
-        x = rng.normal(size=(1, cfg.frames, N, cfg.channels))
+        x = rng.normal(size=(1, cfg.frames, N, C))
         w = rng.normal(size=(1, cfg.frames, N))
 
         def f(t):
@@ -208,9 +208,27 @@ class TestApplyMaskAndFuse:
             keys_fuse(tokens, empty, text, attn)
 
 
+class TestFrameKeys:
+    """`frame_keys` is one `take_rows` of the token rows: numpy fancy indexing
+    forward and `np.add.at` backward, bitwise."""
+
+    @pytest.mark.parametrize("selected", [[[1, 2, 5, 7], [0, 3, 4, 6]], [[2, 2, 2, 2], [0, 7, 7, 1]]],
+                             ids=["distinct", "repeated"])
+    def test_matches_fancy_indexing(self, cfg, rng, selected):
+        x = Tensor(rng.normal(size=(2, cfg.frames, N, C)), requires_grad=True)
+        keys = frame_keys(x, SelectionMask(selected=selected))
+        batch, idx = np.arange(2)[:, None], np.array(selected)
+        assert np.array_equal(keys.data, x.data[batch, idx].reshape(2, -1, C))
+        g = rng.normal(size=keys.shape)
+        backward(T.sum_all(T.mul(keys, Tensor(g))))
+        expect = np.zeros_like(x.data)
+        np.add.at(expect, (batch, idx), g.reshape(2, idx.shape[1], N, C))
+        assert np.array_equal(x.grad, expect)
+
+
 class TestSelectFrames:
     def test_infer_is_deterministic(self, cfg, params, attn, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.channels)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N, C)))
         tokens = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
         a_out, a_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
@@ -219,8 +237,7 @@ class TestSelectFrames:
         assert a_mask.selected == b_mask.selected
 
     def test_canonical_32_to_4_selection_structure(self, rng):
-        cfg = FramePrompterConfig(frames=32, segments=4, channels=3,
-                                  d_model=8, embed_hidden=6)
+        cfg = FramePrompterConfig(frames=32, segments=4, d_model=8, embed_hidden=6)
         params = FramePrompterParams.init(cfg, N, rng)
         x = Tensor(rng.normal(size=(2, 32, 4, 3)))
         mask = select_frames(x, params, cfg)
@@ -230,7 +247,7 @@ class TestSelectFrames:
                 assert s * 8 <= idx < (s + 1) * 8
 
     def test_train_mode_hard_row_sums(self, cfg, params, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.channels)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N, C)))
         mask = select_frames(x, params, cfg, keep_graph=True)
         fps = cfg.frames_per_segment
         assert [[i // fps for i in row] for row in mask.selected] == [list(range(cfg.segments))] * 2
@@ -241,7 +258,7 @@ class TestSelectFrames:
         # logits against per-segment labels reaches the select-head weights
         # and matches finite differences
         params = FramePrompterParams.init(cfg, N, rng)
-        x = rng.normal(size=(1, cfg.frames, N, cfg.channels))
+        x = rng.normal(size=(1, cfg.frames, N, C))
         labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
         head_w = params.select_head.steps[0][1]
 

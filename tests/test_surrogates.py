@@ -76,6 +76,25 @@ class TestTextEncoder:
         backward(T.sum_all(T.mul(S.encode_text(np.array([[1, 2]]), frozen), Tensor(w))))
         assert frozen.embedding.grad is None
 
+    def test_any_token_shape_matches_per_row_calls(self, rng):
+        # [B, A, Lc] ids in one call: each row as its own [1, Lc] call,
+        # bitwise, and the tables' gradients are the rows' gradients summed
+        enc = S.SurrogateTextEncoder.init(vocab=10, d_model=4, max_len=4, rng=rng)
+        ids = rng.integers(0, 10, size=(2, 3, 3))
+        w = rng.normal(size=(2, 3, 3, 4))
+        out = S.encode_text(ids, enc)
+        assert out.shape == (2, 3, 3, 4)
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        grads = enc.embedding.grad, enc.positional.grad
+        enc.embedding.grad = enc.positional.grad = None
+        for b in range(2):
+            for a in range(3):
+                row = S.encode_text(ids[b, a][None], enc)
+                assert np.array_equal(out.data[b, a], row.data[0])
+                backward(T.sum_all(T.mul(row, Tensor(w[b, a][None]))))
+        assert np.allclose(enc.embedding.grad, grads[0], rtol=0, atol=1e-12)
+        assert np.allclose(enc.positional.grad, grads[1], rtol=0, atol=1e-12)
+
     def test_encode_choices_pools_tokens(self, rng):
         enc = S.SurrogateTextEncoder.init(vocab=10, d_model=4, max_len=4, rng=rng)
         out = S.encode_choices(np.array([[[1, 2], [3, 4]]]), enc)

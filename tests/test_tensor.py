@@ -1,5 +1,7 @@
+import ast
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,12 +337,12 @@ class TestShapeOps:
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 3, 4))), tol=1e-6).passed
 
-    def test_concat_and_narrow_gradient(self, rng):
-        b = rng.normal(size=(2, 3))
+    def test_concat_and_take_rows_gradient(self, rng):
+        b = rng.normal(size=(3, 2))
 
         def f(a):
-            cat = T.concat([a, Tensor(b)], axis=1)
-            return T.sum_all(T.narrow(cat, 1, 1, 3))
+            cat = T.concat([a, Tensor(b)], axis=0)
+            return T.sum_all(T.take_rows(cat, np.array([1, 2, 3])))
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 2))), tol=1e-6).passed
 
@@ -357,9 +359,11 @@ class TestShapeOps:
             T.take_rows(Tensor(np.zeros((3, 2))), np.array([4]))
 
     def test_gather_frames(self, rng):
+        # per-batch frames out[b, s] = x[b, idx[b, s]] are rows b * 4 + idx[b, s]
         x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         idx = np.array([[0, 2], [3, 3]])
-        out = T.gather_frames(x, idx)
+        out = T.take_rows(T.reshape(x, (8, 3)), idx + 4 * np.arange(2)[:, None])
+        assert out.shape == (2, 2, 3)
         assert np.array_equal(out.data[0, 0], x.data[0, 0])
         assert np.array_equal(out.data[1, 1], x.data[1, 3])
         backward(T.sum_all(out))
@@ -380,7 +384,7 @@ class TestGradCheck:
         x = rng.normal(size=6) + np.linspace(0, 0.5, 6)
 
         def f(t):
-            return T.narrow(T.softmax(t), 0, 2, 1)
+            return T.take_rows(T.reshape(T.softmax(t), (6, 1)), np.array([2]))
 
         assert grad_check(f, Tensor(x), tol=1e-6).passed
 
@@ -456,3 +460,29 @@ class TestBroadcastProperties:
         gb = np.einsum("...nk,...nm->...km", a_full, w)
         assert np.allclose(a.grad, summed_to(ga, a_shape), rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, summed_to(gb, b_shape), rtol=1e-12, atol=1e-12)
+
+
+PACKAGE = Path(T.__file__).resolve().parent
+# public functions of `tensor` that are not ops
+NOT_OPS = {"backward", "grad_check"}
+# ops with no model caller: `sum_all` is the gradcheck suites' scalar reducer
+NO_MODEL_CALLER = {"sum_all"}
+
+
+def test_every_op_has_a_model_caller():
+    """Each `tensor` op is called as `T.<name>` by the model, in a module of
+    the package other than `tensor` and `checks`: an op that only tests or
+    the gradcheck suites call is not a model primitive."""
+    module = ast.parse((PACKAGE / "tensor.py").read_text())
+    ops = {node.name for node in module.body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")} - NOT_OPS
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name in ("tensor.py", "checks.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "T"):
+                called.add(node.func.attr)
+    assert len(ops) == 14
+    assert sorted(ops - called) == sorted(NO_MODEL_CALLER)

@@ -146,29 +146,29 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "97036a0f38ec84c249c02c80664e39df0118efecdb79cf68c14ac73ddbf65f09",
         "student/student.ckpt":
-            "7b655a975d4fdfbf1310d51ca15d695687816b79f23f88e935792b6f7ab1283b",
+            "b90de6105bacd39b9d13c89152d28f0350470a1856704a61830f9e20aae08887",
         "student/student_step2.ckpt":
-            "44a51c2d738b3d765efde886359e53b2c4924ee0ec11ced4ee33c8ce67fa8de3",
+            "cd8db884374cb66659024856c312e1a216ed5887b34ace2991ccd13d1f093b0c",
         "teacher/metrics.csv":
             "d0de5ef433bf6fa489f44bdde564d7d98591dab358c5b84aed77ff13fe65634b",
         "teacher/teacher.ckpt":
-            "0935d0c4bc3a6ad3fef71e93fd1b99f87124888f2c6410dece21096c57505c77",
+            "d3cc63e19494b3a74a7f204650d51ab9d130b351fce2bb7a77af8f92223dbee8",
         "teacher/teacher_step2.ckpt":
-            "222a8e5ea03e94cd41945927a33bbbdd851d1bb8bab16739b41a09d28a7bb2b8",
+            "106bc4eefcdd097970e5946b818d367d43a5ad3d38a507d644572e955fc1cda1",
     },
     "uniform_picks": {
         "student/metrics.csv":
             "da532b943a55f6ff4983a376a993b38d6a7f0a73760daba6ace568c6727ff272",
         "student/student.ckpt":
-            "1d724befb5722e16ed54edf9672a23552157bf5ac7fd46b69cecc62b3c130eed",
+            "e210ae1502b3f584ddaa3a47408189c0ad49a40cdb0ddcbad1e72e876a688968",
         "student/student_step2.ckpt":
-            "1a61d568c7a0ac19200263fcc9b8dcebf01ed59503c1960635fb1ca0db9e6bc3",
+            "10befdd6281f3da12cad765bafca3e1ac68a03517ad994108fc20677fc15d802",
         "teacher/metrics.csv":
             "d0de5ef433bf6fa489f44bdde564d7d98591dab358c5b84aed77ff13fe65634b",
         "teacher/teacher.ckpt":
-            "01a49921a48609fb6da83c666771e35dadd2ca7a61205ee3bb28369f97b3afec",
+            "f4c9f90c4ee21f34ee678d97dc9c4f1ea9ff7aca61ea26ffb70c102169b8f479",
         "teacher/teacher_step2.ckpt":
-            "2fce0cb70c5f7654f5a59e6332be12902dc683234c02145d8ab8f7cd35a4f9af",
+            "5f207f920f2147040f408bbe2551af32a5af3878c4e91ea61555eb0f03465be5",
     },
 }
 
@@ -309,7 +309,10 @@ class TestTrainConfig:
         # selector read N from its input
         [("prompter_cfg", {"patches": 2}),
          ("data", dict(decoy_prob=0.5, noise_std=0.3, num_attributes=4, num_choices=4, raw_dim=24))],
-    ], ids=["top", "prompter_cfg", "data", "optimizer", "relaxation", "distill", "dataset_constants"])
+        # before the visual encoder's width became a constant
+        [("prompter_cfg", {"channels": 8})],
+    ], ids=["top", "prompter_cfg", "data", "optimizer", "relaxation", "distill", "dataset_constants",
+            "channels"])
     def test_from_dict_names_unknown_fields(self, layout):
         d = json.loads(tiny_config().to_json())
         for key, extra in layout:
@@ -387,20 +390,20 @@ class TestLoadIntoBundle:
 
 class TestCosineLr:
     def test_endpoints_exact(self):
-        assert trainer.cosine_lr(0, 700, 3e-3, 3e-4) == 3e-3
-        assert trainer.cosine_lr(700, 700, 3e-3, 3e-4) == 3e-4
+        assert trainer.cosine_lr(0, 700) == trainer.LR
+        assert trainer.cosine_lr(700, 700) == trainer.LR_MIN
 
     @pytest.mark.parametrize("step, total", [(-1, 10), (11, 10), (0, 0)])
     def test_out_of_range_rejected(self, step, total):
         with pytest.raises(ValueError):
-            trainer.cosine_lr(step, total, 3e-3, 3e-4)
+            trainer.cosine_lr(step, total)
 
 
 class TestAdamW:
-    LR, B1, B2, EPS, WD = 0.1, 0.9, 0.999, 1e-8, 0.01
+    LR = 0.1
 
     def step(self, params, state):
-        trainer.adamw_step(params, state, self.LR, self.B1, self.B2, self.EPS, self.WD)
+        trainer.adamw_step(params, state, self.LR)
 
     def test_two_steps_match_hand_computation(self):
         w = Tensor(np.array([1.0, -2.0]))
@@ -412,7 +415,7 @@ class TestAdamW:
         w.grad = np.array(g2)
         self.step(params, state)
 
-        lr, b1, b2, eps, wd = self.LR, self.B1, self.B2, self.EPS, self.WD
+        lr, b1, b2, eps, wd = self.LR, trainer.BETA1, trainer.BETA2, trainer.ADAM_EPS, trainer.WEIGHT_DECAY
         for k, w0 in enumerate([1.0, -2.0]):
             m1, v1 = (1 - b1) * g1[k], (1 - b2) * g1[k] ** 2
             # step 1: the bias-corrected moments are g and g**2
@@ -446,23 +449,25 @@ class TestAdamW:
 
 
 class TestClipGlobalNorm:
-    def grads(self):
+    def grads(self, scale):
+        # gradients (3, 0) and (4,) times `scale`: global norm 5 * scale
         a, b, c = Tensor(np.zeros(2)), Tensor(np.zeros(1)), Tensor(np.zeros(3))
-        a.grad, b.grad = np.array([3.0, 0.0]), np.array([4.0])
+        a.grad, b.grad = np.array([3.0, 0.0]) * scale, np.array([4.0]) * scale
         return {"a": a, "b": b, "c": c}   # c has no gradient
 
     def test_scales_down_above_max_norm(self):
-        params = self.grads()
-        assert trainer.clip_global_norm(params, 2.5) == (5.0, 0.5)
-        assert np.array_equal(params["a"].grad, [1.5, 0.0])
-        assert np.array_equal(params["b"].grad, [2.0])
+        params = self.grads(1.0)
+        assert trainer.clip_global_norm(params) == (5.0, trainer.GRAD_CLIP / 5.0)
+        assert np.array_equal(params["a"].grad, [3.0 * (trainer.GRAD_CLIP / 5.0), 0.0])
+        assert np.array_equal(params["b"].grad, [4.0 * (trainer.GRAD_CLIP / 5.0)])
         assert params["c"].grad is None
 
     def test_leaves_gradients_below_max_norm(self):
-        params = self.grads()
-        assert trainer.clip_global_norm(params, 10.0) == (5.0, 1.0)
-        assert np.array_equal(params["a"].grad, [3.0, 0.0])
-        assert np.array_equal(params["b"].grad, [4.0])
+        params = self.grads(0.125)
+        assert trainer.GRAD_CLIP > 0.625
+        assert trainer.clip_global_norm(params) == (0.625, 1.0)
+        assert np.array_equal(params["a"].grad, [0.375, 0.0])
+        assert np.array_equal(params["b"].grad, [0.5])
 
     @pytest.mark.parametrize("stage", [trainer.STAGE_TEACHER, trainer.STAGE_STUDENT])
     def test_stage_clips_the_selector_apart(self, monkeypatch, stage):
@@ -473,7 +478,7 @@ class TestClipGlobalNorm:
         calls = []
         clip = trainer.clip_global_norm
         monkeypatch.setattr(trainer, "clip_global_norm",
-                            lambda params, max_norm: calls.append(set(params)) or clip(params, max_norm))
+                            lambda params: calls.append(set(params)) or clip(params))
         trainable = trainer.trainable_names(trainer.build_models(cfg), stage)
         if stage == trainer.STAGE_TEACHER:
             trainer.train_teacher(cfg, train, val)
@@ -671,8 +676,8 @@ class TestRequestWork:
         cfg = default_geometry_config()
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
-        assert len(op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")) == 52
-        assert len(op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)) == 43
+        assert len(op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")) == 49
+        assert len(op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)) == 40
 
 
 class TestTeacherTargets:
@@ -745,6 +750,27 @@ class TestStudentLossTerms:
             logp = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
             expect += -logp[np.arange(4), label].mean()
         assert loss.item() == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_label_rows_are_the_low_frames_segments(self, monkeypatch):
+        # the label cross entropy reads, per video, the [T/S] scores of the
+        # segment that holds its lowest-saliency frame
+        cfg = tiny_config()
+        bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
+        batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
+        _, saliency = trainer.teacher_targets(bundle, batch, cfg)
+        _, _, mask = trainer.student_forward(bundle, batch, cfg, "train")
+        calls = []
+        entropy = T.cross_entropy
+        monkeypatch.setattr(T, "cross_entropy",
+                            lambda logits, targets: calls.append((logits.data, targets)) or entropy(logits, targets))
+        trainer.student_loss(bundle, batch, cfg)
+        # the teacher's and the student's answer losses, then the label term
+        assert len(calls) == 3
+        scores, labels = calls[-1]
+        low, fps = saliency.argmin(axis=1), cfg.prompter_cfg.frames_per_segment
+        assert np.array_equal(scores, mask.logits.data[np.arange(4), low // fps])
+        assert np.array_equal(labels, low % fps)
 
     @pytest.mark.parametrize("use_prompter", [True, False], ids=["default", "uniform_picks"])
     def test_one_teacher_pass_per_step(self, monkeypatch, use_prompter):
