@@ -33,7 +33,10 @@ def _jitter(x: np.ndarray, margin: float = 0.15) -> np.ndarray:
 
 def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
     """Every differentiable primitive of `tensor`, `instances` random points
-    each; all but `sum_all`, the suites' scalar reducer, have a model caller."""
+    each. `sum_all` is the suites' scalar reducer. `mul`, `softmax` and
+    `transpose` have no model caller: attention runs them inside one op
+    (`attention`, checked in both query layouts over every input), and the
+    tests' reference composition builds from them."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -70,6 +73,23 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
               rng.normal(size=(2, 3)))
         check(f"reshape[{i}]", lambda a: T.sum_all(T.mul(T.reshape(a, (6,)), Tensor(w6))),
               rng.normal(size=(2, 3)))
+        # shared [Lq, d] queries over coefficients on a basis, with a key
+        # bias; then [b, Lq, d] queries over plain keys; every input checked
+        for layout, shapes in (
+            ("shared", {"queries": (2, 3), "keys": (2, 3, 2), "key_bias": (2, 3), "basis": (2, 3)}),
+            ("batched", {"queries": (2, 2, 3), "keys": (2, 3, 3)}),
+        ):
+            values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            # weights at the model's init scale, 1/sqrt(d): N(0, 1) weights make
+            # some softmaxes sharp enough that central differences miss tol
+            values.update({w: rng.normal(size=(3, 3)) / np.sqrt(3) for w in ("wq", "wk", "wv", "wo")})
+            readout = Tensor(rng.normal(size=(2, 2, 3)))
+            for name in values:
+                def attend(x):
+                    args = {n: x if n == name else Tensor(v) for n, v in values.items()}
+                    return T.sum_all(T.mul(T.attention(scale=1.0 / np.sqrt(3), **args), readout))
+
+                check(f"attention[{i}].{layout}.{name}", attend, values[name])
     return reports
 
 

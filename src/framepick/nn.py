@@ -11,7 +11,8 @@ Wk and Wv act on the query side, so Q queries over L tokens cost
 O(Q·L·d + Q·d²), no key/value projection of the L tokens. Keys may also
 arrive factored, as coefficients over a small basis (`cross_attention`'s
 `basis`); the basis then joins Wk and Wv on the query side, and the L
-tokens are never formed at width d.
+tokens are never formed at width d. Each attention is one op,
+`tensor.attention`, bitwise the composition of primitives it replaces.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
     on the query side too, so the logits are ((Xq Wq) Wk^T basis^T) X'^T
     and the output ((A X') basis) Wv Wo, for X' = keys_values. The cost is
     O(Q·L·K + Q·K·d + Q·d²), and no [b, Lk, d] array is formed.
+
+    The whole attention is one op, `tensor.attention`, whose backward is
+    written by hand and is bitwise that of composing the primitives.
     """
     key_width = params.d_model if basis is None else basis.shape[0]
     if queries.shape[-1] != params.d_model or keys_values.shape[-1] != key_width:
@@ -78,20 +82,8 @@ def cross_attention(params: AttentionParams, queries: Tensor, keys_values: Tenso
             f"got {queries.shape[-1]} / {keys_values.shape[-1]}")
     if key_bias is not None and key_bias.shape != keys_values.shape[:2]:
         raise ValueError(f"key_bias shape {key_bias.shape} does not match keys {keys_values.shape[:2]}")
-
-    b, lk, _ = keys_values.shape
-    q = T.matmul(T.matmul(queries, params.wq), T.transpose(params.wk, (1, 0)))
-    if basis is not None:
-        q = T.matmul(q, T.transpose(basis, (1, 0)))
-
-    logits = T.mul(T.matmul(q, T.transpose(keys_values, (0, 2, 1))), Tensor(1.0 / math.sqrt(params.d_model)))
-    if key_bias is not None:
-        logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
-    weights = T.softmax(logits, axis=-1)  # [b, Lq, Lk]
-    mixed = T.matmul(weights, keys_values)
-    if basis is not None:
-        mixed = T.matmul(mixed, basis)
-    return T.matmul(T.matmul(mixed, params.wv), params.wo)
+    return T.attention(queries, params.wq, params.wk, params.wv, params.wo, keys_values,
+                       1.0 / math.sqrt(params.d_model), key_bias=key_bias, basis=basis)
 
 
 def self_attention(params: AttentionParams, tokens: Tensor, key_bias: Tensor | None = None) -> Tensor:

@@ -14,7 +14,8 @@ d_model: the fusion takes the frozen C-wide features with the stage's
 [C, d] projection, which joins Wk and Wv on the query side
 (`qformer_forward`). That costs O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d); at T=128
 frames the widest array is [B, 520, 16], not [B, 520, 64]. The features
-and the projection still receive gradient.
+and the projection still receive gradient. Each of the two attentions is
+one `tensor.attention` op.
 """
 
 from __future__ import annotations

@@ -8,11 +8,55 @@ for higher-order gradients. Ops do not check their outputs for NaN or Inf;
 the callers that must not see them check at their boundary (the stage loop
 rejects a non-finite loss, AdamW a non-finite gradient and frame sampling
 non-finite logits).
+
+`attention` is single-head attention as one graph node with a
+hand-written backward, where composing the other ops takes a dozen. It
+runs the arrays, products and order of composing `matmul`, `transpose`,
+`mul`, `reshape`, `add` and `softmax`, forward and backward, so its
+results are bitwise those of the composition (tests/test_neural_blocks.py
+keeps the composition as the reference); what it saves is the per-op
+Tensor, closure and graph node.
+
+Importing this module pins glibc's heap once, through `mallopt`:
+M_MMAP_THRESHOLD goes to `HEAP_MMAP_THRESHOLD` (32 MiB, glibc's ceiling on
+64-bit) and M_TRIM_THRESHOLD to `HEAP_TRIM_THRESHOLD` (256 MiB). By default
+glibc serves each array above a dynamic mmap threshold from a fresh mmap
+and returns freed memory at the top of the heap to the OS, so the
+multi-megabyte arrays of a T=128 batch had their pages faulted in again on
+every pass, and timings moved with how earlier work had left the heap.
+With the pin those arrays come from the heap, and freed pages stay mapped
+unless more than 256 MiB lies free at its top, so a steady-state pass
+faults almost no pages. Where no C library with `mallopt` loads, the pin
+does nothing and `HEAP_PINNED` is False.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# glibc's mallopt parameter numbers (<malloc.h>) and the values they are pinned to
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_TRIM_THRESHOLD = 256 << 20
+HEAP_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_heap() -> bool:
+    """Apply the heap pin; True if both `mallopt` calls took effect."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD) == 1
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1
+    return mmap_ok and trim_ok
+
+
+HEAP_PINNED = _pin_heap()
 
 
 class Tensor:
@@ -87,6 +131,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _mean(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """`a.mean(axis)` without its dispatch: the same float64 sum and divide."""
+    return np.add.reduce(a, axis, keepdims=keepdims) / a.shape[axis]
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (with broadcasting)
 
@@ -126,11 +175,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(int(a) for a in axes)
-    inverse = tuple(np.argsort(axes))
-    out_data = np.transpose(x.data, axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out_data = x.data.transpose(axes)
 
     def bw(g):
-        _acc(x, np.transpose(g, inverse))
+        _acc(x, g.transpose(inverse))
 
     return _op(out_data, (x,), bw)
 
@@ -138,8 +187,9 @@ def transpose(x: Tensor, axes) -> Tensor:
 def concat(parts, axis: int) -> Tensor:
     parts = list(parts)
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.data.shape[axis])
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -190,6 +240,83 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_data, (a, b), bw)
 
 
+def attention(queries: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, keys: Tensor,
+              scale: float, key_bias: Tensor | None = None, basis: Tensor | None = None) -> Tensor:
+    """Single-head attention as one op: softmax(s * scale + key_bias) over
+    the keys, then Wo, with logits s = ((queries Wq) Wk^T [basis^T]) keys^T
+    and values ((A keys) [basis]) Wv.
+
+    queries: [Lq, d] (shared by every batch row) or [b, Lq, d]; keys:
+    [b, Lk, d], or [b, Lk, K] coefficients over a [K, d] `basis`; key_bias:
+    [b, Lk]. The arrays, products and their order are those of composing
+    `matmul`, `transpose`, `mul`, `reshape`, `add` and `softmax`, forward
+    and backward, so results are bitwise those of the composition. Gradient
+    terms are added in the composition's order too: keys take their value
+    term, then their query term (self-attention), then their logit term;
+    the basis its value term, then its query term. `nn.cross_attention`
+    checks the shapes.
+    """
+    b, lk = keys.data.shape[:2]
+    q1 = np.matmul(queries.data, wq.data)
+    q2 = np.matmul(q1, wk.data.T)
+    q = q2 if basis is None else np.matmul(q2, basis.data.T)
+    logits = np.matmul(q, keys.data.transpose(0, 2, 1)) * scale
+    if key_bias is not None:
+        logits = logits + key_bias.data.reshape(b, 1, lk)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    mixed0 = np.matmul(weights, keys.data)
+    mixed = mixed0 if basis is None else np.matmul(mixed0, basis.data)
+    h = np.matmul(mixed, wv.data)
+    out_data = np.matmul(h, wo.data)
+    inputs = (queries, wq, wk, wv, wo, keys) + tuple(t for t in (key_bias, basis) if t is not None)
+
+    def bw(g):
+        # each product only where an input takes a gradient through it
+        query_side = any(t is not None and t.requires_grad for t in (queries, wq, wk, basis))
+        logit_side = query_side or keys.requires_grad or (key_bias is not None and key_bias.requires_grad)
+        if wo.requires_grad:
+            _acc(wo, _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), wo.data.shape))
+        if not (logit_side or wv.requires_grad):
+            return
+        g = np.matmul(g, wo.data.T)
+        if wv.requires_grad:
+            _acc(wv, _unbroadcast(np.matmul(np.swapaxes(mixed, -1, -2), g), wv.data.shape))
+        if not logit_side:
+            return
+        g = np.matmul(g, wv.data.T)
+        if basis is not None:
+            if basis.requires_grad:
+                _acc(basis, _unbroadcast(np.matmul(np.swapaxes(mixed0, -1, -2), g), basis.data.shape))
+            g = np.matmul(g, basis.data.T)
+        if keys.requires_grad:
+            _acc(keys, np.matmul(np.swapaxes(weights, -1, -2), g))
+        g = np.matmul(g, np.swapaxes(keys.data, -1, -2))
+        g = weights * (g - (g * weights).sum(axis=-1, keepdims=True))
+        if key_bias is not None and key_bias.requires_grad:
+            _acc(key_bias, _unbroadcast(g, (b, 1, lk)).reshape(b, lk))
+        g = g * scale
+        if keys.requires_grad:
+            keys_grad = np.matmul(np.swapaxes(q, -1, -2), g).transpose(0, 2, 1)
+        if query_side:
+            g = _unbroadcast(np.matmul(g, keys.data), q.shape)
+            if basis is not None:
+                if basis.requires_grad:
+                    _acc(basis, _unbroadcast(np.matmul(np.swapaxes(q2, -1, -2), g), basis.data.T.shape).T)
+                g = np.matmul(g, basis.data)
+            if wk.requires_grad:
+                _acc(wk, _unbroadcast(np.matmul(np.swapaxes(q1, -1, -2), g), wk.data.T.shape).T)
+            g = np.matmul(g, wk.data)
+            if queries.requires_grad:
+                _acc(queries, _unbroadcast(np.matmul(g, wq.data.T), queries.data.shape))
+            if wq.requires_grad:
+                _acc(wq, _unbroadcast(np.matmul(np.swapaxes(queries.data, -1, -2), g), wq.data.shape))
+        if keys.requires_grad:
+            _acc(keys, keys_grad)
+
+    return _op(out_data, inputs, bw)
+
+
 # ---------------------------------------------------------------------------
 # reductions and normalizations
 
@@ -207,7 +334,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
         raise ValueError(f"axis {axis} invalid for shape {x.data.shape}")
     axis = axis % x.data.ndim
     n = x.data.shape[axis]
-    out_data = x.data.mean(axis=axis)
+    out_data = _mean(x.data, axis)
 
     def bw(g):
         _acc(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n)
@@ -245,9 +372,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     LAYER_NORM_EPS), then affine."""
     if x.data.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last dimension")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean(x.data, -1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean(xc * xc, -1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
@@ -256,7 +383,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _acc(gain, _unbroadcast(g * xhat, gain.data.shape))
         _acc(bias, _unbroadcast(g, bias.data.shape))
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        term = gx - _mean(gx, -1, keepdims=True) - xhat * _mean(gx * xhat, -1, keepdims=True)
         _acc(x, term * inv)
 
     return _op(out_data, (x, gain, bias), bw)

@@ -559,14 +559,16 @@ def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
     Answer loss on the selector's argmax picks, the ones evaluation reads,
     plus the distillation loss against the all-frames teacher, plus, with a
     selector, one cross entropy per video: the scores of the segment that
-    holds the video's lowest-saliency frame, against that frame
-    (`teacher_targets`, one pass for both). Every term has weight 1.
+    holds the video's label frame, against that frame. The label frame is
+    the one whose bias gradient (`teacher_targets`, one pass for both) is
+    lowest, so that attending more to it lowers the teacher's answer loss
+    the most. Every term has weight 1.
     """
     fps = cfg.prompter_cfg.frames_per_segment
     low = None
     if bundle.prompter_params is not None:
         x_teacher, saliency = teacher_targets(bundle, batch, cfg)
-        low = saliency.argmin(axis=1)  # [B], the most salient frame of each video
+        low = saliency.argmin(axis=1)  # [B], each video's frame with the lowest bias gradient
     else:
         _, x_teacher = teacher_forward(bundle, batch, cfg)
     logits, x_student, mask = student_forward(bundle, batch, cfg, "train")

@@ -3,7 +3,7 @@ import pytest
 
 from framepick import nn
 from framepick import tensor as T
-from framepick.tensor import Tensor, grad_check
+from framepick.tensor import Tensor, backward, grad_check
 
 
 @pytest.fixture
@@ -248,6 +248,86 @@ class TestKeyBasis:
         with pytest.raises(ValueError, match="key width 6, got 4 / 5"):
             nn.cross_attention(params, Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(1, 3, 5))),
                                basis=Tensor(rng.normal(size=(6, 4))))
+
+
+def composed_attention(queries, wq, wk, wv, wo, keys, scale, key_bias=None, basis=None):
+    """Attention composed of `tensor` primitives, as `nn.cross_attention` ran
+    it before `T.attention` made it one op: the bitwise reference."""
+    b, lk, _ = keys.shape
+    q = T.matmul(T.matmul(queries, wq), T.transpose(wk, (1, 0)))
+    if basis is not None:
+        q = T.matmul(q, T.transpose(basis, (1, 0)))
+    logits = T.mul(T.matmul(q, T.transpose(keys, (0, 2, 1))), Tensor(scale))
+    if key_bias is not None:
+        logits = T.add(logits, T.reshape(key_bias, (b, 1, lk)))
+    mixed = T.matmul(T.softmax(logits, axis=-1), keys)
+    if basis is not None:
+        mixed = T.matmul(mixed, basis)
+    return T.matmul(T.matmul(mixed, wv), wo)
+
+
+class TestFusedAttention:
+    """`T.attention` is one op with a hand-written backward; it must equal
+    the composition of primitives bitwise, in the output and in the
+    gradient of every input."""
+
+    def arrays(self, shared_queries, with_basis, with_bias, seed=0):
+        rng = np.random.default_rng(seed)
+        b, lq, lk, k, d = 2, 3, 5, 4, 6
+        out = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
+        out["queries"] = rng.normal(size=(lq, d) if shared_queries else (b, lq, d))
+        out["keys"] = rng.normal(size=(b, lk, k if with_basis else d))
+        if with_basis:
+            out["basis"] = rng.normal(size=(k, d))
+        if with_bias:
+            out["key_bias"] = rng.normal(size=(b, lk))
+        return out, rng.normal(size=(b, lq, d))
+
+    def run(self, attend, arrays, readout, grad_of=None, alias_keys=False):
+        """Attend over fresh leaves; return the output and every gradient."""
+        leaves = {name: Tensor(a.copy(), requires_grad=grad_of in (None, name))
+                  for name, a in arrays.items()}
+        if alias_keys:
+            leaves["keys"] = leaves["queries"]
+        out = attend(*(leaves[n] for n in ("queries", "wq", "wk", "wv", "wo", "keys")),
+                     1.0 / np.sqrt(arrays["wq"].shape[0]), key_bias=leaves.get("key_bias"),
+                     basis=leaves.get("basis"))
+        backward(T.sum_all(T.mul(out, Tensor(readout))))
+        return out.data, {name: leaf.grad for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+    @pytest.mark.parametrize("with_basis", [False, True], ids=["keys", "basis"])
+    @pytest.mark.parametrize("shared_queries", [True, False], ids=["Lq_d", "b_Lq_d"])
+    def test_matches_composition_bitwise(self, shared_queries, with_basis, with_bias):
+        arrays, readout = self.arrays(shared_queries, with_basis, with_bias)
+        out, grads = self.run(T.attention, arrays, readout)
+        ref_out, ref_grads = self.run(composed_attention, arrays, readout)
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys() == arrays.keys()
+        for name in grads:
+            assert grads[name].shape == arrays[name].shape, name
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def test_self_attention_adds_three_key_terms_in_order(self):
+        # queries == keys: the keys take a value, a query and a logit term,
+        # and rounding depends on the order in which they are added
+        arrays, readout = self.arrays(shared_queries=False, with_basis=False, with_bias=False, seed=1)
+        del arrays["keys"]
+        out, grads = self.run(T.attention, arrays, readout, alias_keys=True)
+        ref_out, ref_grads = self.run(composed_attention, arrays, readout, alias_keys=True)
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("name", ["queries", "wq", "wk", "wv", "wo", "keys", "key_bias", "basis"])
+    def test_gradient_of_one_input(self, name):
+        # only the input that takes a gradient gets one, the same as when all do
+        arrays, readout = self.arrays(shared_queries=True, with_basis=True, with_bias=True)
+        _, grads = self.run(T.attention, arrays, readout, grad_of=name)
+        _, every = self.run(T.attention, arrays, readout)
+        assert np.array_equal(grads.pop(name), every[name])
+        assert all(g is None for g in grads.values())
 
 
 class TestSelfAttention:

@@ -157,6 +157,23 @@ class TestLayerNorm:
 
         assert grad_check(f, Tensor(rng.normal(size=4)), tol=1e-5).passed
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 9, 129)])
+    def test_matches_ndarray_mean_formulas_bitwise(self, shape, rng):
+        # layer_norm takes its means as a float64 sum over n; they must be
+        # the very numbers `ndarray.mean` gives, forward and backward
+        x, gain, bias, g = (rng.normal(size=s) for s in (shape, shape[-1:], shape[-1:], shape))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+        xhat = xc * inv
+        gx = g * gain
+        ref_x = (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layer_norm(*leaves)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        assert np.array_equal(out.data, xhat * gain + bias)
+        assert np.array_equal(leaves[0].grad, ref_x)
+        assert np.array_equal(leaves[1].grad, T._unbroadcast(g * xhat, gain.shape))
+
 
 class TestActivations:
     def test_relu(self):
@@ -187,6 +204,12 @@ class TestMeanAxis:
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
             T.mean_axis(Tensor(np.zeros((2, 2))), axis=5)
+
+    @pytest.mark.parametrize("shape", [(13,), (3, 5), (3, 257, 5)])
+    def test_matches_ndarray_mean_bitwise(self, shape, rng):
+        x = rng.normal(size=shape)
+        for axis in range(-len(shape), len(shape)):
+            assert np.array_equal(T.mean_axis(Tensor(x), axis).data, x.mean(axis=axis)), axis
 
     def test_gradient_is_one_over_n(self, rng):
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
@@ -337,6 +360,31 @@ class TestShapeOps:
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 3, 4))), tol=1e-6).passed
 
+    def test_transpose_gradient_four_axes(self, rng):
+        # (2, 0, 3, 1) is not its own inverse, so the backward must invert it
+        axes = (2, 0, 3, 1)
+        x = rng.normal(size=(2, 3, 4, 5))
+        w = rng.normal(size=(4, 2, 5, 3))
+        leaf = Tensor(x, requires_grad=True)
+        out = T.transpose(leaf, axes)
+        assert np.array_equal(out.data, np.transpose(x, axes))
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        assert np.array_equal(leaf.grad, np.transpose(w, np.argsort(axes)))
+
+        def f(t):
+            return T.sum_all(T.mul(T.transpose(t, axes), Tensor(w)))
+
+        assert grad_check(f, Tensor(x), tol=1e-6).passed
+
+    def test_concat_three_parts_gradient(self, rng):
+        parts = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
+        w = rng.normal(size=(2, 6))
+        out = T.concat(parts, axis=1)
+        assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=1))
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        for part, ref in zip(parts, np.split(w, [1, 4], axis=1)):
+            assert np.array_equal(part.grad, ref)
+
     def test_concat_and_take_rows_gradient(self, rng):
         b = rng.normal(size=(3, 2))
 
@@ -465,8 +513,10 @@ class TestBroadcastProperties:
 PACKAGE = Path(T.__file__).resolve().parent
 # public functions of `tensor` that are not ops
 NOT_OPS = {"backward", "grad_check"}
-# ops with no model caller: `sum_all` is the gradcheck suites' scalar reducer
-NO_MODEL_CALLER = {"sum_all"}
+# ops with no model caller: `sum_all` is the gradcheck suites' scalar reducer;
+# `mul`, `softmax` and `transpose` build the tests' reference composition of
+# `attention`, which runs them inside one op
+NO_MODEL_CALLER = {"sum_all", "mul", "softmax", "transpose"}
 
 
 def test_every_op_has_a_model_caller():
@@ -484,5 +534,5 @@ def test_every_op_has_a_model_caller():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "T"):
                 called.add(node.func.attr)
-    assert len(ops) == 14
+    assert len(ops) == 15
     assert sorted(ops - called) == sorted(NO_MODEL_CALLER)

@@ -2,7 +2,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -638,18 +641,25 @@ class TestProjectAfterGather:
 
 
 def op_outputs(monkeypatch, forward, *args):
-    """Run `forward(*args)` and return the shape of every `tensor._op` output."""
-    shapes = []
-    op = T._op
+    """Run `forward(*args)`; return the shapes of every `tensor._op` output
+    and of every `numpy.matmul` product, which includes those inside an op."""
+    ops, products = [], []
+    op, matmul = T._op, np.matmul
 
     def recording_op(data, inputs, bw):
-        shapes.append(data.shape)
+        ops.append(data.shape)
         return op(data, inputs, bw)
+
+    def recording_matmul(a, b):
+        out = matmul(a, b)
+        products.append(out.shape)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(T, "_op", recording_op)
+        patch.setattr(np, "matmul", recording_matmul)
         forward(*args)
-    return shapes
+    return ops, products
 
 
 class TestRequestWork:
@@ -657,8 +667,8 @@ class TestRequestWork:
 
     def test_teacher_forms_no_token_sized_array(self, monkeypatch):
         # at T=128 the teacher reads Lv = 512 visual tokens at d = 64; no op
-        # output holds Lv * d or more elements per batch row, so no token is
-        # projected to d_model
+        # output and no product, inside an op or not, holds Lv * d or more
+        # elements per batch row, so no token is projected to d_model
         frames = 128
         data = synth.DatasetSpec(num_train=2, num_val=1, frames=frames, seed=0)
         cfg = trainer.TrainConfig(seed=0, data=data, prompter_cfg=trainer.FramePrompterConfig(frames=frames))
@@ -667,8 +677,9 @@ class TestRequestWork:
         b, t, n, _ = batch.raw.shape
         lv, d = t * n, bundle.teacher_proj.shape[1]
         assert (b, lv, d) == (2, 512, 64)
-        shapes = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
-        assert max(math.prod(shape) for shape in shapes) < b * lv * d
+        ops, products = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
+        assert ops and products
+        assert max(math.prod(shape) for shape in ops + products) < b * lv * d
 
     def test_request_op_counts(self, monkeypatch):
         # one batch-1 request: the selector path, then the full path; a
@@ -676,8 +687,50 @@ class TestRequestWork:
         cfg = default_geometry_config()
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
-        assert len(op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")) == 49
-        assert len(op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)) == 40
+        ops, _ = op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")
+        assert len(ops) == 28
+        ops, _ = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
+        assert len(ops) == 19
+
+
+def in_fresh_process(script: str) -> str:
+    """Run `script` in a new interpreter that imports the package from this
+    checkout; return its last line of output. A fresh process has a heap no
+    earlier test has shaped."""
+    src = Path(trainer.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n" + script],
+                          capture_output=True, text=True, check=True, timeout=120)
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's mallopt")
+class TestHeapPin:
+    """Importing the package pins glibc's heap, so a steady-state pass maps
+    its arrays again from pages the first pass left mapped."""
+
+    def test_import_pins_the_heap(self):
+        assert in_fresh_process("import framepick.tensor as T; print(T.HEAP_PINNED)") == "True"
+
+    def test_steady_state_evaluate_faults_few_pages(self):
+        # six passes of 64 videos at T=128; without the pin each one faults
+        # about 4k pages, as glibc maps and trims its multi-megabyte arrays
+        script = """
+import json, resource
+from framepick import synth, trainer
+from framepick.prompter import FramePrompterConfig
+data = synth.DatasetSpec(num_train=1, num_val=64, frames=128, seed=0)
+cfg = trainer.TrainConfig(seed=0, data=data, prompter_cfg=FramePrompterConfig(frames=128))
+_, val = synth.generate(data)
+bundle = trainer.build_models(cfg)
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.evaluate(bundle, cfg, val, trainer.STAGE_STUDENT)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+        faults = json.loads(in_fresh_process(script))
+        assert len(faults) == 6 and max(faults[2:]) <= 64, faults
 
 
 class TestTeacherTargets:
