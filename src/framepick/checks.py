@@ -95,10 +95,10 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
 
 def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
     """The stage-2 training loss (`trainer.student_loss`) on a 2-sample batch,
-    over every coordinate of six student-side parameters: the first fc
-    weights of the selector's head and frame embedding, the student queries
-    and cross-attention query weight, the first fc weight of the
-    distillation decoder and the student projection; the stage-1 loss
+    over every coordinate of six student-side parameters: the selector's
+    [N, 1] frame scorer and the first fc weight of its frame embedding, the
+    student queries and cross-attention query weight, the first fc weight of
+    the distillation decoder and the student projection; the stage-1 loss
     (`trainer.teacher_loss`) over the teacher's self-attention key weight
     and over the teacher projection, whose gradient comes back through the
     fusion's key basis; and the teacher's answer loss over the zero key
@@ -125,7 +125,8 @@ def run_end2end_suite(seed: int = 0, tol: float = 1e-4):
 
     student, teacher = trainer.student_loss, trainer.teacher_loss
     targets = {
-        "select_head": (*first_fc_weight(bundle.prompter_params.select_head), student),
+        "scorer": (bundle.prompter_params.scorer,
+                   lambda x: setattr(bundle.prompter_params, "scorer", x), student),
         "embed": (*first_fc_weight(bundle.prompter_params.embed), student),
         "student_queries": (bundle.student_qf.query_tokens,
                             lambda x: setattr(bundle.student_qf, "query_tokens", x), student),

@@ -1,9 +1,11 @@
 """Frame selection, text-blind for now.
 
 Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
-vector, score the frames of each of S contiguous temporal segments, and
-pick one frame per segment (`select_frames`, through `sample_frames`, the
-one pick rule). The selector reads no text until ROADMAP item 3: the
+vector, score every frame with one shared [N, 1] scorer, split the T
+scores into S contiguous temporal segments of T/S, and pick one frame per
+segment (`select_frames`, through `sample_frames`, the one pick rule). No
+weight depends on T or S, so weights trained at one frame geometry run at
+any other. The selector reads no text until ROADMAP item 3: the
 question reaches only the student fusion, after the pick. This module
 builds every `SelectionMask`, also the no-selector arms' fixed pick
 (`uniform_mask`). `frame_keys` gathers the picked frames' tokens from
@@ -60,11 +62,12 @@ class FramePrompterConfig:
 
 @dataclass
 class FramePrompterParams:
-    """Learnable state of the selector: frame embedding and selection head.
-    No text weights: the selector reads no question until ROADMAP item 3."""
+    """Learnable state of the selector: the frame embedding and the select
+    head, one [N, 1] scorer shared by every frame. No text weights: the
+    selector reads no question until ROADMAP item 3."""
 
     embed: nn.MlpParams
-    select_head: nn.MlpParams
+    scorer: Tensor
 
     @classmethod
     def init(cls, cfg: FramePrompterConfig, patches: int, rng: np.random.Generator) -> "FramePrompterParams":
@@ -76,14 +79,14 @@ class FramePrompterParams:
             nn.act_step(),
             nn.fc_step(h, n, rng, bias=False),
         ])
-        # small init keeps the initial per-segment distribution near uniform
-        head = nn.MlpParams([nn.fc_step(cfg.frames_per_segment * n, cfg.frames_per_segment, rng, scale=0.01)])
-        return cls(embed=embed, select_head=head)
+        # small init keeps the initial per-segment distribution near uniform;
+        # no bias, which would shift every score alike and move no pick
+        scorer = Tensor(rng.normal(size=(n, 1)) * 0.01, requires_grad=True)
+        return cls(embed=embed, scorer=scorer)
 
     def named(self, prefix: str) -> dict:
-        out = {}
-        out.update(self.embed.named(f"{prefix}.embed"))
-        out.update(self.select_head.named(f"{prefix}.select"))
+        out = self.embed.named(f"{prefix}.embed")
+        out[f"{prefix}.scorer"] = self.scorer
         return out
 
 
@@ -101,19 +104,13 @@ class SelectionMask:
     logits: Tensor | None = None
 
 
-def pool_and_embed(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
-    """[B, T, N, C] -> mean over channels -> per-frame MLP -> [B, T, N]."""
+def frame_scores(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
+    """[B, T, N, C] -> mean over channels -> per-frame MLP -> one score per
+    frame, [B, T, 1] -> the [B, S, T/S] scores of S contiguous segments."""
     if x.ndim != 4 or x.shape[1] != cfg.frames:
         raise ValueError(f"expected [B, {cfg.frames}, N, C], got {x.shape}")
-    pooled = T.mean_axis(x, axis=3)
-    return nn.mlp_apply(params.embed, pooled)
-
-
-def segment_logits(embedded: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
-    """[B, T, N] -> contiguous temporal chunks -> FC -> [B, S, T/S] logits."""
-    b, _, n = embedded.shape
-    chunks = T.reshape(embedded, (b, cfg.segments, cfg.frames_per_segment * n))
-    return nn.mlp_apply(params.select_head, chunks)
+    embedded = nn.mlp_apply(params.embed, T.mean_axis(x, axis=3))
+    return T.reshape(T.matmul(embedded, params.scorer), (x.shape[0], cfg.segments, cfg.frames_per_segment))
 
 
 def _mask(pick: np.ndarray, cfg: FramePrompterConfig, logits: Tensor | None = None) -> SelectionMask:
@@ -158,5 +155,4 @@ def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: Fram
                   keep_graph: bool = False) -> SelectionMask:
     """Score the frames of [B, T, N, C] features and pick one per segment with
     `sample_frames`; `keep_graph` keeps the mask's logits differentiable."""
-    logits = segment_logits(pool_and_embed(video_features, params, cfg), params, cfg)
-    return sample_frames(logits, cfg, keep_graph)
+    return sample_frames(frame_scores(video_features, params, cfg), cfg, keep_graph)

@@ -6,7 +6,7 @@ Learnable query tokens are prepended to the visual tokens, one
 self-attention block runs over the concatenation, and the post-self-attention
 query positions serve as keys/values for cross-attention with the question
 text. The output therefore always has one vector per text token, whatever
-the frame budget.
+the number of visual tokens, and no weight depends on it.
 
 Only the query positions of the self-attention block are ever read, so the
 block is computed for those rows alone, and no visual token is projected to
@@ -36,19 +36,16 @@ class QFormerParams:
     query_tokens: Tensor          # [Q, d_model]
     self_attn: nn.AttentionParams
     cross_attn: nn.AttentionParams
-    frame_budget: int             # max frames this instance may consume
-    patches: int                  # tokens per frame
+    patches: int                  # tokens per frame; only the benchmark's spans read it (ROADMAP item 2)
 
     @classmethod
-    def init(cls, d_model: int, num_queries: int, frame_budget: int, patches: int,
-             rng: np.random.Generator) -> "QFormerParams":
+    def init(cls, d_model: int, num_queries: int, patches: int, rng: np.random.Generator) -> "QFormerParams":
         if num_queries < 1:
             raise ValueError("need at least one query token")
         q = Tensor(rng.normal(size=(num_queries, d_model)), requires_grad=True)
         self_attn = nn.AttentionParams.init(d_model, rng)
         cross = nn.AttentionParams.init(d_model, rng)
-        return cls(query_tokens=q, self_attn=self_attn, cross_attn=cross,
-                   frame_budget=frame_budget, patches=patches)
+        return cls(query_tokens=q, self_attn=self_attn, cross_attn=cross, patches=patches)
 
     @property
     def num_queries(self) -> int:
@@ -67,8 +64,8 @@ def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, t
     [B, Lt, d] text -> [B, Lt, d].
 
     `key_bias` ([B, Lv]) is added to the self-attention logits of the visual
-    keys; the query-token keys take no bias. The visual tokens must fit the
-    frame budget: at most `frame_budget * patches` of them.
+    keys; the query-token keys take no bias. Any number of visual tokens is
+    read.
 
     The self-attention block computes only the query rows, from the [Q, d]
     query tokens with no batch copy. Its keys are coeff @ basis, with
@@ -80,10 +77,6 @@ def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, t
     then keeping the query rows, up to rounding.
     """
     b, lv, c = visual_feats.shape
-    if lv > params.frame_budget * params.patches:
-        raise ValueError(
-            f"visual tokens ({lv}) exceed the frame budget "
-            f"({params.frame_budget} frames x {params.patches} patches)")
     q = params.num_queries
     basis = T.concat([params.query_tokens, proj], axis=0)
     query_rows = Tensor(np.broadcast_to(np.eye(q, q + c), (b, q, q + c)))

@@ -22,24 +22,22 @@ CHANNELS = 8
 
 @dataclass
 class SurrogateVisualEncoder:
-    """Fixed per-patch linear projection raw_dim -> channels."""
+    """Fixed per-patch linear projection raw_dim -> channels. It reads any
+    number of frames and patches; the selector's embed MLP checks N."""
 
     projection: Tensor  # [raw_dim, channels], requires_grad stays False
-    patches: int
 
     @classmethod
-    def init(cls, raw_dim: int, channels: int, patches: int, seed: int) -> "SurrogateVisualEncoder":
+    def init(cls, raw_dim: int, channels: int, seed: int) -> "SurrogateVisualEncoder":
         rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence((seed, 0x5EED))))
         proj = rng.normal(size=(raw_dim, channels)) / np.sqrt(raw_dim)
-        return cls(projection=Tensor(proj, requires_grad=False), patches=patches)
+        return cls(projection=Tensor(proj, requires_grad=False))
 
 
 def encode_video(raw: Tensor, enc: SurrogateVisualEncoder) -> Tensor:
     """[B, T, N, raw_dim] -> [B, T, N, C]; no gradient into the projection."""
     if raw.shape[-1] != enc.projection.shape[0]:
         raise ValueError(f"raw feature width {raw.shape[-1]} does not match projection {enc.projection.shape}")
-    if raw.shape[-2] != enc.patches:
-        raise ValueError(f"expected {enc.patches} patches per frame, got {raw.shape[-2]}")
     return T.matmul(raw, enc.projection)
 
 
@@ -56,22 +54,17 @@ class SurrogateTextEncoder:
         pos = Tensor(rng.normal(size=(max_len, d_model)) * 0.1, requires_grad=True)
         return cls(embedding=emb, positional=pos)
 
-    @property
-    def vocab(self) -> int:
-        return self.embedding.shape[0]
-
     def named(self, prefix: str) -> dict:
         return {f"{prefix}.embedding": self.embedding, f"{prefix}.positional": self.positional}
 
 
 def encode_text(tokens: np.ndarray, enc: SurrogateTextEncoder) -> Tensor:
     """[..., L] int token ids -> [..., L, d_model]: each id's embedding row
-    plus its position's row, added by broadcasting over the leading axes."""
+    plus its position's row, added by broadcasting over the leading axes.
+    `take_rows` rejects ids that are not integers or not in the vocabulary."""
     tokens = np.asarray(tokens)
     if tokens.ndim < 1:
         raise ValueError(f"expected [..., L] token ids, got shape {tokens.shape}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= enc.vocab):
-        raise IndexError(f"token id out of vocabulary (V={enc.vocab})")
     length = tokens.shape[-1]
     if length > enc.positional.shape[0]:
         raise ValueError(f"sequence length {length} exceeds positional table {enc.positional.shape[0]}")

@@ -156,23 +156,25 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
 
     Student-side streams are independent of teacher training, so arm
     comparisons under a shared seed start from identical student weights.
+    No weight depends on the frame geometry (T, S): a bundle's state loads
+    into a bundle built for any other T and S.
     """
     data = cfg.data
     d, c = cfg.prompter_cfg.d_model, surrogates.CHANNELS
-    visual = SurrogateVisualEncoder.init(synth.RAW_DIM, c, data.patches, seed=cfg.seed)
+    visual = SurrogateVisualEncoder.init(synth.RAW_DIM, c, seed=cfg.seed)
 
     def stream(tag):
         return np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag))))
 
     rng_t = stream(10)
     teacher_proj = Tensor(rng_t.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
-    teacher_qf = QFormerParams.init(d, NUM_QUERIES, data.frames, data.patches, rng_t)
+    teacher_qf = QFormerParams.init(d, NUM_QUERIES, data.patches, rng_t)
     text_enc = SurrogateTextEncoder.init(synth.VOCAB, d, TEXT_POSITIONS, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
     student_proj = Tensor(rng_s.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
-    student_qf = QFormerParams.init(d, NUM_QUERIES, cfg.prompter_cfg.segments, data.patches, rng_s)
+    student_qf = QFormerParams.init(d, NUM_QUERIES, data.patches, rng_s)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, data.patches, stream(30))
                        if cfg.use_prompter else None)
@@ -558,11 +560,11 @@ def student_loss(bundle: ModelBundle, batch: Batch, cfg: TrainConfig):
 
     Answer loss on the selector's argmax picks, the ones evaluation reads,
     plus the distillation loss against the all-frames teacher, plus, with a
-    selector, one cross entropy per video: the scores of the segment that
-    holds the video's label frame, against that frame. The label frame is
-    the one whose bias gradient (`teacher_targets`, one pass for both) is
-    lowest, so that attending more to it lowers the teacher's answer loss
-    the most. Every term has weight 1.
+    selector, one cross entropy per video: the T/S frame scores of the
+    segment that holds the video's label frame, against that frame. The
+    label frame is the one whose bias gradient (`teacher_targets`, one pass
+    for both) is lowest, so that attending more to it lowers the teacher's
+    answer loss the most. Every term has weight 1.
     """
     fps = cfg.prompter_cfg.frames_per_segment
     low = None

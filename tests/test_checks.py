@@ -56,7 +56,7 @@ def test_wrong_softmax_backward_is_reported(monkeypatch):
 
 def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):
     # only the selector's frame embedding calls relu, so only the embedding
-    # sees the fault: the select head sits after it, and the pick passes no
+    # sees the fault: the frame scorer sits after it, and the pick passes no
     # gradient to the rest of the student
     monkeypatch.setattr(T, "relu", with_scaled_backward(T.relu))
     failed = {r.name for r in checks.run_scope("end2end") if not r.passed}

@@ -4,8 +4,8 @@ import pytest
 from framepick import nn, prompter, synth
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
-                                frame_keys, pool_and_embed, sample_frames, segment_logits,
-                                select_frames, uniform_mask)
+                                frame_keys, frame_scores, sample_frames, select_frames,
+                                uniform_mask)
 from framepick.tensor import Tensor, backward, grad_check
 
 
@@ -52,33 +52,36 @@ class TestConfig:
 
 
 class TestPoolAndEmbed:
+    """`frame_scores` pools, embeds and scores each frame on its own."""
+
     def test_constant_input_gives_constant_frames(self, cfg, params):
         x = Tensor(np.full((2, cfg.frames, N, C), 1.5))
-        out = pool_and_embed(x, params, cfg)
-        assert out.shape == (2, cfg.frames, N)
-        # constancy propagates through the mean and the per-frame embedding
-        assert np.allclose(out.data, out.data[0, 0])
+        out = frame_scores(x, params, cfg)
+        assert out.shape == (2, cfg.segments, cfg.frames_per_segment)
+        # constancy propagates through the mean, the per-frame embedding and
+        # the shared scorer
+        assert np.allclose(out.data, out.data[0, 0, 0])
         # regression pin so silent changes to the embed stack are caught
-        assert out.data[0, 0, 0] == pytest.approx(out.data[1, 3, 0], abs=0)
+        assert out.data[0, 0, 0] == pytest.approx(out.data[1, 3, 1], abs=0)
 
     def test_single_channel_mean_is_identity(self, cfg, params, rng):
         # the selector reads C from its input, so one channel needs no other config
         x = rng.normal(size=(1, cfg.frames, N, 1))
         pooled = T.mean_axis(Tensor(x), 3)
         assert np.array_equal(pooled.data, x[..., 0])
-        out = pool_and_embed(Tensor(x), params, cfg)
-        assert out.shape == (1, cfg.frames, N)
+        out = frame_scores(Tensor(x), params, cfg)
+        assert out.shape == (1, cfg.segments, cfg.frames_per_segment)
 
     def test_shape_mismatch(self, cfg, params):
         with pytest.raises(ValueError):
-            pool_and_embed(Tensor(np.zeros((1, 4, 4, 3))), params, cfg)
+            frame_scores(Tensor(np.zeros((1, 4, 4, 3))), params, cfg)
 
     def test_gradient_through_chain(self, cfg, params, rng):
         x = rng.normal(size=(1, cfg.frames, N, C))
-        w = rng.normal(size=(1, cfg.frames, N))
+        w = rng.normal(size=(1, cfg.segments, cfg.frames_per_segment))
 
         def f(t):
-            return T.sum_all(T.mul(pool_and_embed(t, params, cfg), Tensor(w)))
+            return T.sum_all(T.mul(frame_scores(t, params, cfg), Tensor(w)))
 
         report = grad_check(f, Tensor(x), tol=1e-5)
         assert report.passed, report
@@ -88,25 +91,26 @@ class TestSegmentLogits:
     def test_paper_shape_algebra(self, rng):
         cfg = small_cfg(frames=8, segments=4)
         params = FramePrompterParams.init(cfg, N, rng)
-        out = segment_logits(Tensor(rng.normal(size=(3, 8, 4))), params, cfg)
+        assert params.scorer.shape == (N, 1)
+        out = frame_scores(Tensor(rng.normal(size=(3, 8, N, C))), params, cfg)
         assert out.shape == (3, 4, 2)
 
     def test_zero_weights_give_uniform_distribution(self, cfg, rng):
         params = FramePrompterParams.init(cfg, N, rng)
-        fps, n = cfg.frames_per_segment, N
-        params.select_head = nn.MlpParams([("fc", Tensor(np.zeros((fps * n, fps))), Tensor(np.zeros(fps)))])
-        logits = segment_logits(Tensor(rng.normal(size=(2, cfg.frames, n))), params, cfg)
+        params.scorer = Tensor(np.zeros((N, 1)))
+        logits = frame_scores(Tensor(rng.normal(size=(2, cfg.frames, N, C))), params, cfg)
         pi = T.softmax(logits, axis=-1)
-        assert np.allclose(pi.data, 1.0 / fps)
+        assert np.allclose(pi.data, 1.0 / cfg.frames_per_segment)
 
-    def test_segment_permutation_permutes_segment_axis(self, cfg, params, rng):
-        emb = rng.normal(size=(1, cfg.frames, N))
-        base = segment_logits(Tensor(emb), params, cfg).data
-        perm = np.array([2, 0, 3, 1])
-        fps = cfg.frames_per_segment
-        frame_perm = np.concatenate([np.arange(s * fps, (s + 1) * fps) for s in perm])
-        permuted = segment_logits(Tensor(emb[:, frame_perm]), params, cfg).data
-        assert np.allclose(base[:, perm], permuted, atol=1e-12)
+    def test_frame_permutation_permutes_frame_scores(self, cfg, params, rng):
+        # each frame's score reads that frame alone, wherever it sits: a
+        # permutation of the T frames, across segments and within them,
+        # permutes the [B, T] scores the same way
+        x = rng.normal(size=(2, cfg.frames, N, C))
+        base = frame_scores(Tensor(x), params, cfg).data.reshape(2, cfg.frames)
+        perm = np.random.default_rng(3).permutation(cfg.frames)
+        permuted = frame_scores(Tensor(x[:, perm]), params, cfg).data.reshape(2, cfg.frames)
+        assert np.allclose(permuted, base[:, perm], rtol=0, atol=1e-12)
 
 
 class TestPickGradient:
@@ -255,17 +259,15 @@ class TestSelectFrames:
 
     def test_selection_gradient_reaches_select_head(self, cfg, rng):
         # the selector's training signal: the cross entropy of its segment
-        # logits against per-segment labels reaches the select-head weights
-        # and matches finite differences
+        # logits against per-segment labels reaches the select head, the
+        # [N, 1] scorer, and matches finite differences
         params = FramePrompterParams.init(cfg, N, rng)
         x = rng.normal(size=(1, cfg.frames, N, C))
         labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
-        head_w = params.select_head.steps[0][1]
+        head_w = params.scorer
 
         def f(w):
-            p = FramePrompterParams(
-                embed=params.embed,
-                select_head=nn.MlpParams([("fc", w, params.select_head.steps[0][2])]))
+            p = FramePrompterParams(embed=params.embed, scorer=w)
             mask = select_frames(Tensor(x), p, cfg, keep_graph=True)
             return T.cross_entropy(T.reshape(mask.logits, (cfg.segments, cfg.frames_per_segment)), labels)
 

@@ -13,8 +13,8 @@ def rng():
     return np.random.default_rng(21)
 
 
-def make_qf(d=4, q=2, budget=4, patches=2, rng=None):
-    return QFormerParams.init(d, q, budget, patches, rng or np.random.default_rng(5))
+def make_qf(d=4, q=2, patches=2, rng=None):
+    return QFormerParams.init(d, q, patches, rng or np.random.default_rng(5))
 
 
 def make_proj(rng, c=3, d=4):
@@ -26,7 +26,7 @@ class TestQFormerForward:
     def test_single_token_closed_form_composition(self, rng):
         # Q=1, Lv=1, Lq=1: two single-key attentions compose in closed form
         d = 4
-        params = make_qf(d=d, q=1, budget=1, patches=1, rng=rng)
+        params = make_qf(d=d, q=1, patches=1, rng=rng)
         feats = rng.normal(size=(1, 1, 3))
         proj = make_proj(rng, d=d)
         text = rng.normal(size=(1, 1, d))
@@ -45,7 +45,7 @@ class TestQFormerForward:
         assert np.allclose(out.data[0, 0], expected, atol=1e-12)
 
     def test_visual_permutation_invariance(self, rng):
-        params = make_qf(d=4, q=2, budget=3, patches=2, rng=rng)
+        params = make_qf(d=4, q=2, patches=2, rng=rng)
         feats = rng.normal(size=(1, 6, 3))
         proj = make_proj(rng)
         text = Tensor(rng.normal(size=(1, 3, 4)))
@@ -56,46 +56,31 @@ class TestQFormerForward:
 
     def test_gradient_wrt_query_tokens(self, rng):
         d = 4
-        params = make_qf(d=d, q=2, budget=2, patches=2, rng=rng)
+        params = make_qf(d=d, q=2, patches=2, rng=rng)
         feats = rng.normal(size=(1, 4, 3))  # 2 frames x 2 patches
         proj = make_proj(rng, d=d)
         text = rng.normal(size=(1, 2, d))
 
         def f(qtok):
-            p = QFormerParams(qtok, params.self_attn, params.cross_attn, 2, 2)
+            p = QFormerParams(qtok, params.self_attn, params.cross_attn, 2)
             return T.sum_all(qformer_forward(p, Tensor(feats), proj, Tensor(text)))
 
         report = grad_check(f, Tensor(params.query_tokens.data.copy()), tol=1e-5)
         assert report.passed, report
 
-    def test_frame_budget_error(self, rng):
-        params = make_qf(d=4, q=2, budget=2, patches=2, rng=rng)
-        with pytest.raises(ValueError, match="budget"):
-            qformer_forward(params, Tensor(rng.normal(size=(1, 6, 3))), make_proj(rng),
-                            Tensor(rng.normal(size=(1, 2, 4))))
-
-    def test_key_bias_does_not_lift_the_budget(self, rng):
-        # the budget counts visual tokens, whatever bias the keys carry
-        params = make_qf(d=4, q=2, budget=2, patches=2, rng=rng)
-        bias = np.zeros((1, 6))
-        bias[0, 4:] = -1e9
-        with pytest.raises(ValueError, match=r"visual tokens \(6\) exceed the frame budget"):
-            qformer_forward(params, Tensor(rng.normal(size=(1, 6, 3))), make_proj(rng),
-                            Tensor(rng.normal(size=(1, 2, 4))), key_bias=Tensor(bias))
-
     def test_output_shape_fixed_across_budgets(self, rng):
         text = Tensor(rng.normal(size=(2, 3, 4)))
         proj = make_proj(rng)
-        for frames in (1, 2, 4):
-            params = make_qf(d=4, q=2, budget=4, patches=2, rng=np.random.default_rng(1))
+        for frames in (1, 2, 4, 64):   # no frame budget caps the visual tokens
+            params = make_qf(d=4, q=2, patches=2, rng=np.random.default_rng(1))
             feats = Tensor(rng.normal(size=(2, frames * 2, 3)))
             out = qformer_forward(params, feats, proj, text)
             assert out.shape == (2, 3, 4)
 
     def test_instance_symmetry(self, rng):
         # same parameters and inputs: teacher and student instances agree
-        a = make_qf(d=4, q=2, budget=4, patches=2, rng=np.random.default_rng(11))
-        b = make_qf(d=4, q=2, budget=4, patches=2, rng=np.random.default_rng(11))
+        a = make_qf(d=4, q=2, patches=2, rng=np.random.default_rng(11))
+        b = make_qf(d=4, q=2, patches=2, rng=np.random.default_rng(11))
         feats = Tensor(rng.normal(size=(1, 4, 3)))
         proj = make_proj(rng)
         text = Tensor(rng.normal(size=(1, 2, 4)))
@@ -104,7 +89,7 @@ class TestQFormerForward:
 
     def test_visual_key_bias_gradient(self, rng):
         # the gradient the teacher's frame saliency is read from
-        params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
+        params = make_qf(d=4, q=2, patches=1, rng=rng)
         feats = rng.normal(size=(1, 3, 3))
         proj = make_proj(rng)
         text = rng.normal(size=(1, 2, 4))
@@ -120,7 +105,7 @@ class TestQFormerForward:
         # or more rows. The products are numpy's, so those inside
         # `T.attention` are seen too
         lv = 512
-        params = make_qf(d=8, q=4, budget=128, patches=4, rng=rng)
+        params = make_qf(d=8, q=4, patches=4, rng=rng)
         rows = []
         matmul = np.matmul
 
@@ -136,7 +121,7 @@ class TestQFormerForward:
         assert rows and max(rows) < lv, rows
 
     def test_zero_key_bias_is_bitwise_neutral(self, rng):
-        params = make_qf(d=4, q=2, budget=3, patches=1, rng=rng)
+        params = make_qf(d=4, q=2, patches=1, rng=rng)
         feats = Tensor(rng.normal(size=(2, 3, 3)))
         proj = make_proj(rng)
         text = Tensor(rng.normal(size=(2, 2, 4)))
@@ -226,7 +211,7 @@ class TestLastBlockQueryRows:
     @pytest.mark.parametrize("mask_kind", ["none", "hard", "relaxed"])
     def test_matches_full_rows_reference(self, mask_kind):
         rng = np.random.default_rng(41)
-        params = QFormerParams.init(self.D, self.Q, self.FRAMES, self.PATCHES, rng)
+        params = QFormerParams.init(self.D, self.Q, self.PATCHES, rng)
         feats = rng.normal(size=(self.B, self.FRAMES * self.PATCHES, self.C))
         proj = rng.normal(size=(self.C, self.D))
         text = rng.normal(size=(self.B, 4, self.D))
@@ -256,7 +241,7 @@ class TestExplicitProjectionReference:
     @pytest.mark.parametrize("lv", [5, 11], ids=["Lv<Q+C", "Lv>Q+C"])
     def test_matches_explicit_projections(self, lv, with_bias):
         rng = np.random.default_rng(lv * 2 + with_bias)
-        params = QFormerParams.init(self.D, self.Q, lv, self.PATCHES, rng)
+        params = QFormerParams.init(self.D, self.Q, self.PATCHES, rng)
         feats = rng.normal(size=(self.B, lv, self.C))
         proj = rng.normal(size=(self.C, self.D))
         text = rng.normal(size=(self.B, 4, self.D))

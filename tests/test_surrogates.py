@@ -15,18 +15,18 @@ def rng():
 
 class TestVisualEncoder:
     def test_zero_input_gives_zero_features(self):
-        enc = S.SurrogateVisualEncoder.init(raw_dim=6, channels=3, patches=2, seed=0)
+        enc = S.SurrogateVisualEncoder.init(raw_dim=6, channels=3, seed=0)
         out = S.encode_video(Tensor(np.zeros((1, 2, 2, 6))), enc)
         assert np.all(out.data == 0.0)
 
     def test_same_seed_is_bitwise_identical(self, rng):
         raw = rng.normal(size=(1, 3, 2, 6))
-        a = S.encode_video(Tensor(raw), S.SurrogateVisualEncoder.init(6, 3, 2, seed=9))
-        b = S.encode_video(Tensor(raw), S.SurrogateVisualEncoder.init(6, 3, 2, seed=9))
+        a = S.encode_video(Tensor(raw), S.SurrogateVisualEncoder.init(6, 3, seed=9))
+        b = S.encode_video(Tensor(raw), S.SurrogateVisualEncoder.init(6, 3, seed=9))
         assert np.array_equal(a.data, b.data)
 
     def test_projection_never_receives_gradient(self, rng):
-        enc = S.SurrogateVisualEncoder.init(6, 3, 2, seed=1)
+        enc = S.SurrogateVisualEncoder.init(6, 3, seed=1)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         feats = S.encode_video(Tensor(rng.normal(size=(1, 2, 2, 6))), enc)
         backward(T.sum_all(T.matmul(feats, w)))
@@ -34,15 +34,22 @@ class TestVisualEncoder:
         assert enc.projection.grad is None
 
     def test_linearity(self, rng):
-        enc = S.SurrogateVisualEncoder.init(6, 3, 2, seed=2)
+        enc = S.SurrogateVisualEncoder.init(6, 3, seed=2)
         x = rng.normal(size=(1, 2, 2, 6))
         y = rng.normal(size=(1, 2, 2, 6))
         lhs = S.encode_video(Tensor(2.5 * x - 1.5 * y), enc).data
         rhs = 2.5 * S.encode_video(Tensor(x), enc).data - 1.5 * S.encode_video(Tensor(y), enc).data
         assert np.all(np.abs(lhs - rhs) <= 1e-12)
 
+    def test_any_frame_and_patch_count(self, rng):
+        # the projection is per patch, so no frame or patch count is held
+        enc = S.SurrogateVisualEncoder.init(6, 3, seed=3)
+        for frames, patches in ((1, 1), (3, 2), (5, 7)):
+            out = S.encode_video(Tensor(rng.normal(size=(2, frames, patches, 6))), enc)
+            assert out.shape == (2, frames, patches, 3)
+
     def test_shape_mismatch(self, rng):
-        enc = S.SurrogateVisualEncoder.init(6, 3, 2, seed=0)
+        enc = S.SurrogateVisualEncoder.init(6, 3, seed=0)
         with pytest.raises(ValueError):
             S.encode_video(Tensor(np.zeros((1, 2, 2, 5))), enc)
 
@@ -61,8 +68,9 @@ class TestTextEncoder:
 
     def test_out_of_vocab_rejected(self, rng):
         enc = S.SurrogateTextEncoder.init(vocab=10, d_model=4, max_len=4, rng=rng)
-        with pytest.raises(IndexError):
-            S.encode_text(np.array([[10]]), enc)
+        for ids in ([[10]], [[-1]]):
+            with pytest.raises(IndexError):
+                S.encode_text(np.array(ids), enc)
 
     def test_gradient_reaches_table_only_when_trainable(self, rng):
         enc = S.SurrogateTextEncoder.init(vocab=10, d_model=4, max_len=4, rng=rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -147,17 +148,17 @@ def run_both_stages(cfg, out_dir):
 STAGE_DIGESTS = {
     "default": {
         "student/metrics.csv":
-            "97036a0f38ec84c249c02c80664e39df0118efecdb79cf68c14ac73ddbf65f09",
+            "bf66b8bb3d76f6839d083e5d45505a03b7b1f4daa408971b11bef449ff9109f9",
         "student/student.ckpt":
-            "b90de6105bacd39b9d13c89152d28f0350470a1856704a61830f9e20aae08887",
+            "fd90f6716d29cefa247327087d7b1ba73dd060a304be8b8c43a149ec8e722f99",
         "student/student_step2.ckpt":
-            "cd8db884374cb66659024856c312e1a216ed5887b34ace2991ccd13d1f093b0c",
+            "af99784dc4bfb35a005cb66a2fcf2d9b8a5d56832aa9c6c009526a4815c21fbd",
         "teacher/metrics.csv":
             "d0de5ef433bf6fa489f44bdde564d7d98591dab358c5b84aed77ff13fe65634b",
         "teacher/teacher.ckpt":
-            "d3cc63e19494b3a74a7f204650d51ab9d130b351fce2bb7a77af8f92223dbee8",
+            "f1a38199eb909025b617070a404410dba0b110da33cab1b9a6ff08398e7ba908",
         "teacher/teacher_step2.ckpt":
-            "106bc4eefcdd097970e5946b818d367d43a5ad3d38a507d644572e955fc1cda1",
+            "4b0484e9ca2571175184148d320070ad71022af196ad69b56fca16ddb9601fcb",
     },
     "uniform_picks": {
         "student/metrics.csv":
@@ -279,6 +280,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
 
+    def test_config_value_census(self):
+        # the independently settable values of TrainConfig, FramePrompterConfig
+        # and DatasetSpec; a nested config counts its own fields, not itself.
+        # A new config value has to update this count.
+        def count(config):
+            values = [getattr(config, f.name) for f in dataclasses.fields(config)]
+            return sum(count(v) if dataclasses.is_dataclass(v) else 1 for v in values)
+
+        assert count(trainer.TrainConfig()) == 17
+
     def test_evaluate_rejects_empty_samples(self):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="at least one sample"):
@@ -389,6 +400,55 @@ class TestLoadIntoBundle:
         with pytest.raises(ValueError) as err:
             trainer.load_into_bundle(trainer.build_models(cfg), old, prefixes=("teacher.",))
         assert str(err.value).endswith(": " + ", ".join(teacher_side))
+
+
+class TestGeometryFreeWeights:
+    """No weight depends on the frame geometry (T, S), so weights trained at
+    T=32 load into a bundle built for T=128 and serve there."""
+
+    @staticmethod
+    def config(frames, segments, seed=4):
+        data = synth.DatasetSpec(num_train=8, num_val=6, frames=frames, patches=2, seed=seed)
+        pcfg = trainer.FramePrompterConfig(frames=frames, segments=segments, d_model=8, embed_hidden=4)
+        return trainer.TrainConfig(seed=seed, teacher_steps=2, student_steps=2, batch_size=2,
+                                   checkpoint_every=0, data=data, prompter_cfg=pcfg)
+
+    def test_parameter_shapes_do_not_depend_on_geometry(self):
+        shapes = [{name: p.shape for name, p in trainer.build_models(self.config(t, s)).named_params().items()}
+                  for t, s in ((32, 4), (128, 4), (32, 8))]
+        assert shapes[0] == shapes[1] == shapes[2]
+
+    @pytest.fixture(scope="class")
+    def student(self):
+        cfg = self.config(32, 4)
+        train, val = synth.generate(cfg.data)
+        teacher, _ = trainer.train_teacher(cfg, train, val)
+        ckpt = trainer.Checkpoint(stage=trainer.STAGE_TEACHER, step=cfg.teacher_steps,
+                                  config_digest=cfg.digest(), rng_state=None,
+                                  tensors=trainer.bundle_state(teacher))
+        return trainer.train_student(cfg, train, val, ckpt)[0]
+
+    def serve(self, student, frames, segments):
+        """Load the T=32, S=4 student into a bundle built for (frames,
+        segments) and evaluate it on that geometry's val videos; return the
+        segment index of every pick."""
+        cfg = self.config(frames, segments, seed=5)
+        bundle = trainer.build_models(cfg)
+        trainer.load_into_bundle(bundle, trainer.bundle_state(student))
+        assert_same_state(bundle, student)
+        _, val = synth.generate(cfg.data)
+        row, selections = trainer.evaluate(bundle, cfg, val, trainer.STAGE_STUDENT)
+        assert row.accuracy is not None and row.keyframe_recall is not None
+        assert len(selections) == len(val)
+        return [[i // (frames // segments) for i in picks] for picks in selections]
+
+    def test_weights_trained_at_32_frames_serve_at_128(self, student):
+        # one pick in each 32-frame segment of every video
+        assert self.serve(student, 128, 4) == [[0, 1, 2, 3]] * 6
+
+    def test_weights_trained_at_4_segments_serve_at_8(self, student):
+        # one trained selector serves any S: one pick in each 4-frame segment
+        assert self.serve(student, 32, 8) == [list(range(8))] * 6
 
 
 class TestCosineLr:
@@ -688,7 +748,7 @@ class TestRequestWork:
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
         ops, _ = op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")
-        assert len(ops) == 28
+        assert len(ops) == 27
         ops, _ = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
         assert len(ops) == 19
 
