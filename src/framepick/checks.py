@@ -36,7 +36,11 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
     each. `sum_all` is the suites' scalar reducer. `mul`, `softmax` and
     `transpose` have no model caller: attention runs them inside one op
     (`attention`, checked in both query layouts over every input), and the
-    tests' reference composition builds from them."""
+    tests' reference composition builds from them. The text encoder's op
+    (`embed_tokens`) is checked over both tables for question- and
+    choice-shaped ids, the answer head's (`answer_logits`) over every
+    input, and the fusion's key layout (`blockdiag_identity`) with fewer
+    and with more rows than columns."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -90,6 +94,33 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
                     return T.sum_all(T.mul(T.attention(scale=1.0 / np.sqrt(3), **args), readout))
 
                 check(f"attention[{i}].{layout}.{name}", attend, values[name])
+        # token ids laid out as [B, Lq] questions and as [B, A, Lc] choices,
+        # over a 3-row vocabulary and 3 position rows; both tables checked
+        for layout, shape in (("questions", (2, 2)), ("choices", (2, 3, 2))):
+            tokens = rng.integers(0, 3, size=shape)
+            tables = {name: rng.normal(size=(3, 4)) for name in ("table", "positional")}
+            readout = Tensor(rng.normal(size=shape + (4,)))
+            for name in tables:
+                def embed(x):
+                    args = {n: x if n == name else Tensor(v) for n, v in tables.items()}
+                    return T.sum_all(T.mul(T.embed_tokens(tokens=tokens, **args), readout))
+
+                check(f"embed_tokens[{i}].{layout}.{name}", embed, tables[name])
+        # [B, Lt, d] tokens against [B, A, d] choices; every input checked
+        values = {"x": rng.normal(size=(2, 3, 4)), "score": rng.normal(size=(4, 4)),
+                  "choices": rng.normal(size=(2, 3, 4))}
+        readout = Tensor(rng.normal(size=(2, 3)))
+        for name in values:
+            def score(x):
+                args = {n: x if n == name else Tensor(v) for n, v in values.items()}
+                return T.sum_all(T.mul(T.answer_logits(**args), readout))
+
+            check(f"answer_logits[{i}].{name}", score, values[name])
+        # [B, L, C] -> [B, n + L, n + C] with L both below and above n + C
+        for rows in (2, 5):
+            readout = Tensor(rng.normal(size=(2, 2 + rows, 2 + 3)))
+            check(f"blockdiag_identity[{i}].rows{rows}",
+                  lambda a: T.sum_all(T.mul(T.blockdiag_identity(2, a), readout)), rng.normal(size=(2, rows, 3)))
     return reports
 
 

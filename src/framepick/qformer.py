@@ -15,7 +15,9 @@ d_model: the fusion takes the frozen C-wide features with the stage's
 (`qformer_forward`). That costs O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d); at T=128
 frames the widest array is [B, 520, 16], not [B, 520, 64]. The features
 and the projection still receive gradient. Each of the two attentions is
-one `tensor.attention` op.
+one `tensor.attention` op, and the self-attention's coefficient keys are
+one op too (`tensor.blockdiag_identity`), so a fusion without a key bias
+runs four.
 """
 
 from __future__ import annotations
@@ -70,24 +72,20 @@ def qformer_forward(params: QFormerParams, visual_feats: Tensor, proj: Tensor, t
     The self-attention block computes only the query rows, from the [Q, d]
     query tokens with no batch copy. Its keys are coeff @ basis, with
     basis = [query tokens; proj] ([Q + C, d]) and coeff =
-    blockdiag(I_Q, visual_feats) ([B, Q + Lv, Q + C]); the product is not
-    formed (`nn.cross_attention`'s `basis`), so the cost is
+    blockdiag(I_Q, visual_feats) ([B, Q + Lv, Q + C]), laid out by one op,
+    `tensor.blockdiag_identity`. The product is not formed
+    (`nn.cross_attention`'s `basis`), so the cost is
     O(Q·(Q+Lv)·(Q+C) + Q·(Q+C)·d) and no [B, Lv, d] token tensor exists.
     This equals projecting every token, running full self-attention and
     then keeping the query rows, up to rounding.
     """
-    b, lv, c = visual_feats.shape
     q = params.num_queries
     basis = T.concat([params.query_tokens, proj], axis=0)
-    query_rows = Tensor(np.broadcast_to(np.eye(q, q + c), (b, q, q + c)))
-    visual_rows = T.concat([Tensor(np.zeros((b, lv, q))), visual_feats], axis=2)
-    coeff = T.concat([query_rows, visual_rows], axis=1)
-
     bias = None
     if key_bias is not None:
-        bias = T.concat([Tensor(np.zeros((b, q))), key_bias], axis=1)
-    fused_queries = nn.cross_attention(params.self_attn, params.query_tokens, coeff,
-                                       key_bias=bias, basis=basis)
+        bias = T.concat([Tensor(np.zeros((key_bias.shape[0], q))), key_bias], axis=1)
+    fused_queries = nn.cross_attention(params.self_attn, params.query_tokens,
+                                       T.blockdiag_identity(q, visual_feats), key_bias=bias, basis=basis)
     return nn.cross_attention(params.cross_attn, text_tokens, fused_queries)
 
 

@@ -4,7 +4,10 @@ The visual encoder is a fixed random linear projection per patch (never
 trained), the text encoder a small learnable embedding table with additive
 positions, and the answer head a bilinear scorer over answer-choice
 embeddings. Text encoder and answer head train during the teacher stage
-only, mirroring the frozen-LLM boundary afterwards.
+only, mirroring the frozen-LLM boundary afterwards. Each is one op
+(`tensor.embed_tokens`, `tensor.answer_logits`), bitwise the composition of
+primitives it replaces, so a request encodes its question in one op, its
+choices in two and scores them in one.
 """
 
 from __future__ import annotations
@@ -61,14 +64,9 @@ class SurrogateTextEncoder:
 def encode_text(tokens: np.ndarray, enc: SurrogateTextEncoder) -> Tensor:
     """[..., L] int token ids -> [..., L, d_model]: each id's embedding row
     plus its position's row, added by broadcasting over the leading axes.
-    `take_rows` rejects ids that are not integers or not in the vocabulary."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim < 1:
-        raise ValueError(f"expected [..., L] token ids, got shape {tokens.shape}")
-    length = tokens.shape[-1]
-    if length > enc.positional.shape[0]:
-        raise ValueError(f"sequence length {length} exceeds positional table {enc.positional.shape[0]}")
-    return T.add(T.take_rows(enc.embedding, tokens), T.take_rows(enc.positional, np.arange(length)))
+    One `tensor.embed_tokens` op, which rejects ids that are not integers or
+    not in the vocabulary."""
+    return T.embed_tokens(enc.embedding, enc.positional, tokens)
 
 
 def encode_choices(choice_tokens: np.ndarray, enc: SurrogateTextEncoder) -> Tensor:
@@ -93,16 +91,12 @@ class AnswerHead:
 
 
 def score_answers(x_llm: Tensor, choices: Tensor, head: AnswerHead) -> Tensor:
-    """logit[b, a] = mean_t(x_llm[b, t])^T . score . choices[b, a] -> [B, A]."""
-    b, a, d = choices.shape
-    if a < 2:
-        raise ValueError(f"need at least two answer choices, got {a}")
-    if x_llm.shape[-1] != d or head.score.shape != (d, d):
-        raise ValueError("fusion width, choice width and score matrix disagree")
-    pooled = T.mean_axis(x_llm, axis=1)                       # [B, d]
-    v = T.matmul(pooled, head.score)                          # [B, d]
-    logits = T.matmul(choices, T.reshape(v, (b, d, 1)))       # [B, A, 1]
-    return T.reshape(logits, (b, a))
+    """logit[b, a] = mean_t(x_llm[b, t])^T . score . choices[b, a] -> [B, A];
+    one `tensor.answer_logits` op."""
+    logits = T.answer_logits(x_llm, head.score, choices)
+    if logits.shape[1] < 2:
+        raise ValueError(f"need at least two answer choices, got {logits.shape[1]}")
+    return logits
 
 
 def vqa_loss(logits: Tensor, answer_idx: np.ndarray) -> Tensor:

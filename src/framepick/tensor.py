@@ -15,7 +15,13 @@ runs the arrays, products and order of composing `matmul`, `transpose`,
 `mul`, `reshape`, `add` and `softmax`, forward and backward, so its
 results are bitwise those of the composition (tests/test_neural_blocks.py
 keeps the composition as the reference); what it saves is the per-op
-Tensor, closure and graph node.
+Tensor, closure and graph node. `embed_tokens` (the text encoder: two row
+lookups and an add) and `answer_logits` (the answer head: a token mean, two
+products and two reshapes) are one op each on the same terms
+(tests/test_tensor.py keeps their compositions), and so is
+`blockdiag_identity`, which lays out the fusion's coefficient keys. Every
+op output is built by `_op`, which records a graph node only when an input
+takes a gradient.
 
 Importing this module pins glibc's heap once, through `mallopt`:
 M_MMAP_THRESHOLD goes to `HEAP_MMAP_THRESHOLD` (32 MiB, glibc's ceiling on
@@ -200,16 +206,39 @@ def concat(parts, axis: int) -> Tensor:
     return _op(out_data, tuple(parts), bw)
 
 
+def blockdiag_identity(n: int, x: Tensor) -> Tensor:
+    """blockdiag(I_n, x[b]) per batch row as one op: [B, L, C] ->
+    [B, n + L, n + C], zeros with an identity block over the first n rows
+    and columns and `x` below and to the right of it. The arrays are those
+    of broadcasting `np.eye(n, n + C)` over the batch and two `concat`s,
+    so results are bitwise theirs; x's gradient is its block of the
+    output's gradient."""
+    b, rows, cols = x.data.shape
+    out_data = np.zeros((b, n + rows, n + cols))
+    out_data[:, :n, :n] = np.eye(n)
+    out_data[:, n:, n:] = x.data
+
+    def bw(g):
+        _acc(x, g[:, n:, n:])
+
+    return _op(out_data, (x,), bw)
+
+
+def _row_ids(ids, rows: int) -> np.ndarray:
+    """`ids` as an integer array with every id in [0, rows); TypeError for
+    ids that are not integers, IndexError for one out of range."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise TypeError("row ids must be integers")
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise IndexError(f"row id out of range: ids in [{ids.min()}, {ids.max()}], table has {rows} rows")
+    return ids
+
+
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """The one row lookup: `table[ids]` for a [R, W] table and integer ids
     of any shape -> [*ids.shape, W]; backward scatter-adds into the table."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise TypeError("take_rows ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"row id out of range: ids in [{ids.min()}, {ids.max()}], table has {table.data.shape[0]} rows"
-        )
+    ids = _row_ids(ids, table.data.shape[0])
     out_data = table.data[ids]
 
     def bw(g):
@@ -218,6 +247,39 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
         _acc(table, gt)
 
     return _op(out_data, (table,), bw)
+
+
+def embed_tokens(table: Tensor, positional: Tensor, tokens: np.ndarray) -> Tensor:
+    """Token embedding as one op: `table[tokens] + positional[:L]` for
+    [..., L] token ids -> [..., L, W], the position rows added by
+    broadcasting over the leading axes. The ids are checked once, as
+    `take_rows` checks them.
+
+    The arrays and their order are those of composing two `take_rows` and
+    an `add`, forward and backward, so results are bitwise those of the
+    composition.
+    """
+    tokens = np.asarray(tokens)
+    if tokens.ndim < 1:
+        raise ValueError(f"expected [..., L] token ids, got shape {tokens.shape}")
+    length = tokens.shape[-1]
+    if length > positional.data.shape[0]:
+        raise ValueError(f"sequence length {length} exceeds positional table {positional.data.shape[0]}")
+    ids = _row_ids(tokens, table.data.shape[0])
+    rows = positional.data[:length]
+    out_data = table.data[ids] + rows
+
+    def bw(g):
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+            _acc(table, gt)
+        if positional.requires_grad:
+            gp = np.zeros_like(positional.data)
+            gp[:length] += _unbroadcast(g, rows.shape)
+            _acc(positional, gp)
+
+    return _op(out_data, (table, positional), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +377,42 @@ def attention(queries: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, k
             _acc(keys, keys_grad)
 
     return _op(out_data, inputs, bw)
+
+
+def answer_logits(x: Tensor, score: Tensor, choices: Tensor) -> Tensor:
+    """Bilinear answer scores as one op: logit[b, a] =
+    mean_t(x[b, t]) @ score . choices[b, a], for [B, Lt, d] tokens, a
+    [d, d] score matrix and [B, A, d] choices -> [B, A].
+
+    The arrays, products and their order are those of composing
+    `mean_axis`, `matmul` and `reshape`, forward and backward, so results
+    are bitwise those of the composition.
+    """
+    if choices.data.ndim != 3 or x.data.ndim != 3:
+        raise ValueError(f"expected [B, Lt, d] tokens and [B, A, d] choices, got {x.data.shape} and "
+                         f"{choices.data.shape}")
+    b, a, d = choices.data.shape
+    if x.data.shape[0] != b or x.data.shape[-1] != d or score.data.shape != (d, d):
+        raise ValueError(f"tokens {x.data.shape}, score {score.data.shape} and choices {choices.data.shape} disagree")
+    pooled = _mean(x.data, 1)
+    v = np.matmul(pooled, score.data).reshape(b, d, 1)
+    out_data = np.matmul(choices.data, v).reshape(b, a)
+
+    def bw(g):
+        # each product only where an input takes a gradient through it
+        g = g.reshape(b, a, 1)
+        if choices.requires_grad:
+            _acc(choices, np.matmul(g, np.swapaxes(v, -1, -2)))
+        if not (x.requires_grad or score.requires_grad):
+            return
+        g = np.matmul(np.swapaxes(choices.data, -1, -2), g).reshape(b, d)
+        if score.requires_grad:
+            _acc(score, np.matmul(pooled.T, g))
+        if x.requires_grad:
+            g = np.matmul(g, score.data.T)
+            _acc(x, np.broadcast_to(np.expand_dims(g, 1), x.data.shape) / x.data.shape[1])
+
+    return _op(out_data, (x, score, choices), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,21 @@ def trainable_names(bundle: ModelBundle, stage: str) -> set:
 
 def set_stage(bundle: ModelBundle, stage: str) -> dict:
     """Set requires_grad on exactly the stage's `trainable_names`, clear every
-    gradient; returns the trainable params by sorted name."""
+    gradient; returns the trainable params by sorted name. `build_models`
+    returns every parameter frozen, and `_run_stage` freezes the stage's
+    trainables for each evaluate pass and after its last step, so a
+    parameter takes gradient only within a stage's training loop."""
     trainable = trainable_names(bundle, stage)
     named = bundle.named_params()
     for name, p in named.items():
         p.requires_grad = name in trainable
         p.grad = None
     return {name: named[name] for name in sorted(trainable)}
+
+
+def _set_requires_grad(params: dict, on: bool) -> None:
+    for p in params.values():
+        p.requires_grad = on
 
 
 # rows of the text encoder's positional table, so the longest token sequence
@@ -157,7 +165,9 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
     Student-side streams are independent of teacher training, so arm
     comparisons under a shared seed start from identical student weights.
     No weight depends on the frame geometry (T, S): a bundle's state loads
-    into a bundle built for any other T and S.
+    into a bundle built for any other T and S. Every parameter comes back
+    frozen, so serving and evaluating a bundle record no graph; `set_stage`
+    is what turns a stage's trainables on.
     """
     data = cfg.data
     d, c = cfg.prompter_cfg.d_model, surrogates.CHANNELS
@@ -167,22 +177,24 @@ def build_models(cfg: TrainConfig) -> ModelBundle:
         return np.random.default_rng(np.random.PCG64(np.random.SeedSequence((cfg.seed, tag))))
 
     rng_t = stream(10)
-    teacher_proj = Tensor(rng_t.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
+    teacher_proj = Tensor(rng_t.normal(size=(c, d)) / math.sqrt(c))
     teacher_qf = QFormerParams.init(d, NUM_QUERIES, data.patches, rng_t)
     text_enc = SurrogateTextEncoder.init(synth.VOCAB, d, TEXT_POSITIONS, rng_t)
     answer = AnswerHead.init(d, rng_t)
 
     rng_s = stream(20)
-    student_proj = Tensor(rng_s.normal(size=(c, d)) / math.sqrt(c), requires_grad=True)
+    student_proj = Tensor(rng_s.normal(size=(c, d)) / math.sqrt(c))
     student_qf = QFormerParams.init(d, NUM_QUERIES, data.patches, rng_s)
 
     prompter_params = (FramePrompterParams.init(cfg.prompter_cfg, data.patches, stream(30))
                        if cfg.use_prompter else None)
     decoder = DistillDecoderParams.init(d, stream(40))
-    return ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
-                       teacher_proj=teacher_proj, teacher_qf=teacher_qf,
-                       student_proj=student_proj, student_qf=student_qf,
-                       prompter_params=prompter_params, decoder=decoder)
+    bundle = ModelBundle(visual_enc=visual, text_enc=text_enc, answer=answer,
+                         teacher_proj=teacher_proj, teacher_qf=teacher_qf,
+                         student_proj=student_proj, student_qf=student_qf,
+                         prompter_params=prompter_params, decoder=decoder)
+    _set_requires_grad(bundle.named_params(), False)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +607,9 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
     answer logits and the stage's fields of that step's train MetricsRow.
     With out_dir, metrics go to its metrics.csv and checkpoints to
     f"{stage}_step{n}.ckpt" (every cfg.checkpoint_every steps before the
-    last) and f"{stage}.ckpt" (final).
+    last) and f"{stage}.ckpt" (final). Every evaluate pass runs with the
+    stage's trainables frozen, so it records no graph, and the bundle
+    leaves the stage frozen.
     """
     params = set_stage(bundle, stage)
     # the selector's gradients clip apart from the rest, so neither group's
@@ -647,12 +661,15 @@ def _run_stage(cfg: TrainConfig, stage: str, bundle: ModelBundle, rng_tag: int, 
                 writer.write(MetricsRow(step=step, split="train", accuracy=acc, lr=lr, **fields,
                                         wallclock_ms=(time.perf_counter() - t0) * 1e3))
             if writer and cfg.eval_every and (step + 1) % cfg.eval_every == 0 and (step + 1) < steps:
+                _set_requires_grad(params, False)
                 row, _ = evaluate(bundle, cfg, val_samples[:EVAL_SAMPLES], stage, step=step + 1)
+                _set_requires_grad(params, True)
                 writer.write(row)
             if (out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0
                     and (step + 1) < steps):
                 _write_stage_checkpoint(out_dir, bundle, opt, rng, cfg, stage, step + 1,
                                         name=f"{stage}_step{step + 1}.ckpt")
+        _set_requires_grad(params, False)
         final_row, _ = evaluate(bundle, cfg, val_samples, stage, step=steps)
         if writer:
             writer.write(final_row)

@@ -54,6 +54,15 @@ def test_wrong_softmax_backward_is_reported(monkeypatch):
     assert failed == {"softmax"}
 
 
+@pytest.mark.parametrize("op", ["embed_tokens", "answer_logits", "blockdiag_identity"])
+def test_wrong_fused_op_backward_is_reported(monkeypatch, op):
+    # the text encoder's, the answer head's and the fusion's key-layout ops:
+    # a planted fault fails that op's checks and no other op's
+    monkeypatch.setattr(T, op, with_scaled_backward(getattr(T, op)))
+    failed = {r.name.split("[")[0] for r in checks.run_scope("ops") if not r.passed}
+    assert failed == {op}
+
+
 def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):
     # only the selector's frame embedding calls relu, so only the embedding
     # sees the fault: the frame scorer sits after it, and the pick passes no

@@ -51,7 +51,7 @@ class TestConfig:
                 small_cfg(**{field: 1.0})
 
 
-class TestPoolAndEmbed:
+class TestFrameScores:
     """`frame_scores` pools, embeds and scores each frame on its own."""
 
     def test_constant_input_gives_constant_frames(self, cfg, params):
@@ -87,7 +87,9 @@ class TestPoolAndEmbed:
         assert report.passed, report
 
 
-class TestSegmentLogits:
+class TestFrameScoreSegments:
+    """`frame_scores` lays the per-frame scores out as S segments of T/S."""
+
     def test_paper_shape_algebra(self, rng):
         cfg = small_cfg(frames=8, segments=4)
         params = FramePrompterParams.init(cfg, N, rng)

@@ -263,6 +263,52 @@ class TestExplicitProjectionReference:
             assert_close(grads[name], ref_grads[name])
 
 
+def composed_coefficient_keys(q, visual_feats):
+    """The primitives `tensor.blockdiag_identity` replaces in the fusion: an
+    identity block broadcast over the batch, then two concats."""
+    b, lv, c = visual_feats.shape
+    query_rows = Tensor(np.broadcast_to(np.eye(q, q + c), (b, q, q + c)))
+    visual_rows = T.concat([Tensor(np.zeros((b, lv, q))), visual_feats], axis=2)
+    return T.concat([query_rows, visual_rows], axis=1)
+
+
+class TestCoefficientKeys:
+    """`tensor.blockdiag_identity` lays out the keys blockdiag(I_Q, features)
+    as one op; it must equal the composition bitwise, alone and inside the
+    fusion."""
+
+    @pytest.mark.parametrize("lv", [5, 11], ids=["Lv<Q+C", "Lv>Q+C"])
+    def test_matches_composition_bitwise(self, lv):
+        rng = np.random.default_rng(lv)
+        feats, readout = rng.normal(size=(2, lv, 4)), rng.normal(size=(2, 3 + lv, 3 + 4))
+
+        def run(layout):
+            leaf = Tensor(feats.copy(), requires_grad=True)
+            out = layout(3, leaf)
+            backward(T.sum_all(T.mul(out, Tensor(readout))))
+            return out.data, leaf.grad
+
+        (out, grad), (ref_out, ref_grad) = run(T.blockdiag_identity), run(composed_coefficient_keys)
+        assert out.flags.c_contiguous and np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+    def test_fusion_matches_composed_keys_bitwise(self, monkeypatch, with_bias):
+        # the whole fusion, output and every gradient, with either layout
+        rng = np.random.default_rng(51)
+        params = QFormerParams.init(6, 3, 1, rng)
+        feats, proj = rng.normal(size=(2, 7, 4)), rng.normal(size=(4, 6))
+        text, readout = rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 4, 6))
+        bias = rng.normal(size=(2, 7)) if with_bias else None
+        out, grads = fusion_outputs(qformer_forward, params, feats, proj, text, bias, readout)
+        monkeypatch.setattr(T, "blockdiag_identity", composed_coefficient_keys)
+        ref_out, ref_grads = fusion_outputs(qformer_forward, params, feats, proj, text, bias, readout)
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 class TestDistillDecoder:
     def test_identity_fc_with_unit_ln_gives_layer_norm(self, rng):
         d = 4

@@ -419,6 +419,140 @@ class TestShapeOps:
         assert x.grad[0, 1].sum() == 0.0
 
 
+def composed_embed_tokens(table, positional, tokens):
+    """The primitives `embed_tokens` replaces: two row lookups and an add."""
+    return T.add(T.take_rows(table, tokens), T.take_rows(positional, np.arange(tokens.shape[-1])))
+
+
+def composed_answer_logits(x, score, choices):
+    """The primitives `answer_logits` replaces: a token mean, two products and
+    two reshapes."""
+    b, a, d = choices.shape
+    v = T.matmul(T.mean_axis(x, axis=1), score)
+    return T.reshape(T.matmul(choices, T.reshape(v, (b, d, 1))), (b, a))
+
+
+# integer ids laid out as a request's questions and its choices
+TOKEN_LAYOUTS = {"B_Lq": (2, 3), "B_A_Lc": (2, 4, 3)}
+
+
+class TestFusedTextOps:
+    """`embed_tokens` and `answer_logits` are one op each with a hand-written
+    backward; each must equal the composition of primitives bitwise, in the
+    output and in the gradient of every input."""
+
+    def run(self, op, arrays, readout, grad_of=None, **fixed):
+        """Apply `op` to fresh leaves; return the output and every gradient."""
+        leaves = {name: Tensor(a.copy(), requires_grad=grad_of in (None, name)) for name, a in arrays.items()}
+        out = op(**leaves, **fixed)
+        backward(T.sum_all(T.mul(out, Tensor(readout))))
+        return out.data, {name: leaf.grad for name, leaf in leaves.items()}
+
+    def assert_bitwise(self, got, ref, arrays):
+        (out, grads), (ref_out, ref_grads) = got, ref
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys() == arrays.keys()
+        for name in grads:
+            assert grads[name].shape == arrays[name].shape, name
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def tables(self, rng):
+        # 5 ids over 24 or 6 tokens, so most ids repeat and scatter-add
+        return {"table": rng.normal(size=(5, 6)), "positional": rng.normal(size=(4, 6))}
+
+    @pytest.mark.parametrize("layout", sorted(TOKEN_LAYOUTS))
+    def test_embed_tokens_matches_composition_bitwise(self, layout):
+        rng = np.random.default_rng(5)
+        shape = TOKEN_LAYOUTS[layout]
+        tokens = rng.integers(0, 5, size=shape)
+        arrays, readout = self.tables(rng), rng.normal(size=shape + (6,))
+        self.assert_bitwise(self.run(T.embed_tokens, arrays, readout, tokens=tokens),
+                            self.run(composed_embed_tokens, arrays, readout, tokens=tokens), arrays)
+
+    def test_answer_logits_matches_composition_bitwise(self):
+        rng = np.random.default_rng(6)
+        arrays = {"x": rng.normal(size=(2, 3, 6)), "score": rng.normal(size=(6, 6)),
+                  "choices": rng.normal(size=(2, 4, 6))}
+        readout = rng.normal(size=(2, 4))
+        self.assert_bitwise(self.run(T.answer_logits, arrays, readout),
+                            self.run(composed_answer_logits, arrays, readout), arrays)
+
+    def test_request_text_path_matches_composition_bitwise(self):
+        # a request's text path: [B, Lq] questions and [B, A, Lc] choices
+        # share both tables, so each table adds two gradient terms
+        rng = np.random.default_rng(7)
+        questions = rng.integers(0, 5, size=TOKEN_LAYOUTS["B_Lq"])
+        choices = rng.integers(0, 5, size=TOKEN_LAYOUTS["B_A_Lc"])
+        arrays = dict(self.tables(rng), score=rng.normal(size=(6, 6)))
+        readout = rng.normal(size=(2, 4))
+
+        def text_path(embed, answer):
+            def path(table, positional, score):
+                x = embed(table, positional, questions)
+                return answer(x, score, T.mean_axis(embed(table, positional, choices), axis=2))
+            return path
+
+        self.assert_bitwise(self.run(text_path(T.embed_tokens, T.answer_logits), arrays, readout),
+                            self.run(text_path(composed_embed_tokens, composed_answer_logits), arrays, readout),
+                            arrays)
+
+    @pytest.mark.parametrize("name", ["table", "positional"])
+    def test_embed_tokens_gradient_of_one_input(self, name):
+        rng = np.random.default_rng(8)
+        tokens = rng.integers(0, 5, size=TOKEN_LAYOUTS["B_A_Lc"])
+        arrays, readout = self.tables(rng), rng.normal(size=TOKEN_LAYOUTS["B_A_Lc"] + (6,))
+        _, grads = self.run(T.embed_tokens, arrays, readout, grad_of=name, tokens=tokens)
+        _, every = self.run(T.embed_tokens, arrays, readout, tokens=tokens)
+        assert np.array_equal(grads.pop(name), every[name])
+        assert all(g is None for g in grads.values())
+
+    @pytest.mark.parametrize("name", ["x", "score", "choices"])
+    def test_answer_logits_gradient_of_one_input(self, name):
+        rng = np.random.default_rng(9)
+        arrays = {"x": rng.normal(size=(2, 3, 6)), "score": rng.normal(size=(6, 6)),
+                  "choices": rng.normal(size=(2, 4, 6))}
+        readout = rng.normal(size=(2, 4))
+        _, grads = self.run(T.answer_logits, arrays, readout, grad_of=name)
+        _, every = self.run(T.answer_logits, arrays, readout)
+        assert np.array_equal(grads.pop(name), every[name])
+        assert all(g is None for g in grads.values())
+
+    @pytest.mark.parametrize("tokens, error", [
+        ([[5]], IndexError), ([[-1]], IndexError), ([[0, 5], [1, 2]], IndexError),
+        ([[1.0]], TypeError), ([[True]], TypeError),
+    ], ids=["out_of_vocab", "negative", "one_of_four", "float", "bool"])
+    def test_bad_token_ids_rejected(self, tokens, error):
+        table, positional = Tensor(np.zeros((5, 2))), Tensor(np.zeros((4, 2)))
+        with pytest.raises(error):
+            T.embed_tokens(table, positional, np.array(tokens))
+
+    @pytest.mark.parametrize("tokens", [np.array(3), np.zeros((1, 5), dtype=int)], ids=["0-d", "too_long"])
+    def test_bad_token_shape_rejected(self, tokens):
+        with pytest.raises(ValueError):
+            T.embed_tokens(Tensor(np.zeros((5, 2))), Tensor(np.zeros((4, 2))), tokens)
+
+    def test_answer_logits_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            T.answer_logits(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 3, 5))))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                                   np.uint64, np.bool_, np.float16, np.float32, np.float64, np.complex128,
+                                   np.str_, np.object_])
+def test_row_ids_accept_exactly_numpy_integer_dtypes(dtype):
+    # the dtype check reads `dtype.kind`; it accepts what np.issubdtype(...,
+    # np.integer) accepts, no more and no less
+    ids = np.array([1, 0]).astype(dtype)
+    if np.issubdtype(ids.dtype, np.integer):
+        assert T.take_rows(Tensor(np.eye(2)), ids).shape == (2, 2)
+        assert T.embed_tokens(Tensor(np.eye(2)), Tensor(np.eye(2)), ids).shape == (2, 2)
+    else:
+        with pytest.raises(TypeError):
+            T.take_rows(Tensor(np.eye(2)), ids)
+        with pytest.raises(TypeError):
+            T.embed_tokens(Tensor(np.eye(2)), Tensor(np.eye(2)), ids)
+
+
 class TestGradCheck:
     def test_sum_of_squares_closed_form(self, rng):
         def f(x):
@@ -534,5 +668,5 @@ def test_every_op_has_a_model_caller():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "T"):
                 called.add(node.func.attr)
-    assert len(ops) == 15
+    assert len(ops) == 18
     assert sorted(ops - called) == sorted(NO_MODEL_CALLER)

@@ -261,6 +261,64 @@ class TestStageGuards:
             trainer.audit_frozen_gradients(bundle, trainer.STAGE_STUDENT)
 
 
+class TestFrozenBundles:
+    """`build_models` returns every parameter frozen; `set_stage` alone turns
+    a stage's trainables on, so a bundle that is only served or evaluated
+    records no graph."""
+
+    @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
+    def test_build_models_returns_every_parameter_frozen(self, use_prompter):
+        named = trainer.build_models(tiny_config(use_prompter=use_prompter)).named_params()
+        assert named and not any(p.requires_grad for p in named.values())
+
+    @pytest.mark.parametrize("use_prompter", [True, False], ids=["selector", "uniform"])
+    def test_set_stage_turns_on_exactly_trainable_names(self, use_prompter):
+        bundle = trainer.build_models(tiny_config(use_prompter=use_prompter))
+        # teacher, then student: the second call also turns the first stage's
+        # trainables off again
+        for stage in (trainer.STAGE_TEACHER, trainer.STAGE_STUDENT):
+            params = trainer.set_stage(bundle, stage)
+            on = {name for name, p in bundle.named_params().items() if p.requires_grad}
+            assert on == set(params) == trainer.trainable_names(bundle, stage)
+
+    @pytest.mark.parametrize("stage", [trainer.STAGE_TEACHER, trainer.STAGE_STUDENT])
+    def test_evaluate_records_no_graph(self, monkeypatch, stage):
+        cfg = tiny_config()
+        bundle = trainer.build_models(cfg)
+        graph_ops = []
+        op = T._op
+
+        def recording_op(data, inputs, bw):
+            out = op(data, inputs, bw)
+            graph_ops.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(T, "_op", recording_op)
+        trainer.evaluate(bundle, cfg, synth.generate(cfg.data)[1], stage)
+        assert graph_ops and not any(graph_ops)
+
+    def test_stage_evaluates_frozen_and_returns_frozen(self, monkeypatch, tmp_path):
+        # the eval-cadence passes and the final pass of both stages run with
+        # every parameter frozen (TestStageDigests pins that the steps after a
+        # cadence pass train as before)
+        cfg = tiny_config(eval_every=2)
+        train, val = synth.generate(cfg.data)
+        evaluate, trainable_during_eval = trainer.evaluate, []
+
+        def recording_evaluate(bundle, *args, **kwargs):
+            trainable_during_eval.append(any(p.requires_grad for p in bundle.named_params().values()))
+            return evaluate(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate", recording_evaluate)
+        teacher, _ = trainer.train_teacher(cfg, train, val, out_dir=tmp_path / "teacher")
+        ckpt = trainer.load_checkpoint(tmp_path / "teacher" / "teacher.ckpt")
+        student, _ = trainer.train_student(cfg, train, val, ckpt, out_dir=tmp_path / "student")
+        # per stage: one cadence pass at step 2, then the final pass
+        assert trainable_during_eval == [False] * 4
+        for bundle in (teacher, student):
+            assert not any(p.requires_grad for p in bundle.named_params().values())
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("cfg", [trainer.TrainConfig(), tiny_config()])
     def test_json_round_trip_keeps_digest(self, cfg):
@@ -376,6 +434,7 @@ class TestStudentForwardMode:
         # the mode only decides whether the selector's logits keep their graph
         cfg = GEOMETRIES[geometry]()
         bundle = trainer.build_models(cfg)
+        trainer.set_stage(bundle, trainer.STAGE_STUDENT)
         batch = trainer.make_batch(synth.generate(cfg.data)[0][:4])
         logits, _, mask = trainer.student_forward(bundle, batch, cfg, "train")
         ref_logits, _, ref_mask = trainer.student_forward(bundle, batch, cfg, "infer")
@@ -701,14 +760,14 @@ class TestProjectAfterGather:
 
 
 def op_outputs(monkeypatch, forward, *args):
-    """Run `forward(*args)`; return the shapes of every `tensor._op` output
-    and of every `numpy.matmul` product, which includes those inside an op."""
+    """Run `forward(*args)`; return every `tensor._op` output and the shape
+    of every `numpy.matmul` product, which includes those inside an op."""
     ops, products = [], []
     op, matmul = T._op, np.matmul
 
     def recording_op(data, inputs, bw):
-        ops.append(data.shape)
-        return op(data, inputs, bw)
+        ops.append(op(data, inputs, bw))
+        return ops[-1]
 
     def recording_matmul(a, b):
         out = matmul(a, b)
@@ -739,18 +798,21 @@ class TestRequestWork:
         assert (b, lv, d) == (2, 512, 64)
         ops, products = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
         assert ops and products
-        assert max(math.prod(shape) for shape in ops + products) < b * lv * d
+        assert max(math.prod(shape) for shape in [out.shape for out in ops] + products) < b * lv * d
 
     def test_request_op_counts(self, monkeypatch):
         # one batch-1 request: the selector path, then the full path; a
-        # change that adds ops to a request has to update these counts
+        # change that adds ops to a request has to update these counts. A
+        # bundle from `build_models` is frozen, so no op records a graph
         cfg = default_geometry_config()
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
         ops, _ = op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")
-        assert len(ops) == 27
+        assert len(ops) == 18
+        assert not any(out.requires_grad for out in ops)
         ops, _ = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
-        assert len(ops) == 19
+        assert len(ops) == 10
+        assert not any(out.requires_grad for out in ops)
 
 
 def in_fresh_process(script: str) -> str:
