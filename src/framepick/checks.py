@@ -39,8 +39,9 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
     tests' reference composition builds from them. The text encoder's op
     (`embed_tokens`) is checked over both tables for question- and
     choice-shaped ids, the answer head's (`answer_logits`) over every
-    input, and the fusion's key layout (`blockdiag_identity`) with fewer
-    and with more rows than columns."""
+    input, the fusion's key layout (`blockdiag_identity`) with fewer
+    and with more rows than columns, and the selector's frame scorer
+    (`frame_scorer`) over every input."""
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -116,6 +117,22 @@ def run_ops_suite(seed: int = 0, instances: int = 10, tol: float = 1e-5):
                 return T.sum_all(T.mul(T.answer_logits(**args), readout))
 
             check(f"answer_logits[{i}].{name}", score, values[name])
+        # the selector's frame scorer over [B, T, N] = [2, 4, 3] summaries
+        # and a hidden width of 5; every input checked. Each bias is larger
+        # than the largest normalized activation (sqrt(5 - 1)) times its
+        # gain, so no perturbation moves an entry across the relu's kink,
+        # and its random sign leaves some units on and some off
+        gain = rng.uniform(0.2, 0.5, size=5) * rng.choice([-1.0, 1.0], size=5)
+        values = {"x": rng.normal(size=(2, 4, 3)), "w1": rng.normal(size=(3, 5)), "gain": gain,
+                  "bias": rng.uniform(1.1, 1.5, size=5) * rng.choice([-1.0, 1.0], size=5),
+                  "w2": rng.normal(size=(5, 3)), "scorer": rng.normal(size=(3, 1))}
+        readout = Tensor(rng.normal(size=(2, 2, 2)))
+        for name in values:
+            def scores(x):
+                args = {n: x if n == name else Tensor(v) for n, v in values.items()}
+                return T.sum_all(T.mul(T.frame_scorer(segments=2, **args), readout))
+
+            check(f"frame_scorer[{i}].{name}", scores, values[name])
         # [B, L, C] -> [B, n + L, n + C] with L both below and above n + C
         for rows in (2, 5):
             readout = Tensor(rng.normal(size=(2, 2 + rows, 2 + 3)))

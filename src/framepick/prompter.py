@@ -1,17 +1,20 @@
 """Frame selection, text-blind for now.
 
-Pipeline: mean-pool per-patch channels, embed each frame's pooled feature
-vector, score every frame with one shared [N, 1] scorer, split the T
-scores into S contiguous temporal segments of T/S, and pick one frame per
-segment (`select_frames`, through `sample_frames`, the one pick rule). No
-weight depends on T or S, so weights trained at one frame geometry run at
-any other. The selector reads no text until ROADMAP item 3: the
-question reaches only the student fusion, after the pick. This module
-builds every `SelectionMask`, also the no-selector arms' fixed pick
-(`uniform_mask`). `frame_keys` gathers the picked frames' tokens from
-per-frame features of any width. The student forward calls it once, on
-the frozen C-wide visual features; the student fusion reads the keys it
-returns unprojected, with its projection on the query side
+Pipeline: read each patch's channel mean, pooled through the visual
+encoder's folded projection (`surrogates.pool_video`, [B, T, N]), embed
+each frame's N summaries, score every frame with one shared [N, 1]
+scorer, split the T scores into S contiguous temporal segments of T/S,
+and pick one frame per segment (`select_frames`, through
+`sample_frames`, the one pick rule). Embedding, scorer and segment
+layout run as one op (`tensor.frame_scorer`). No weight depends on T or
+S, so weights trained at one frame geometry run at any other. The
+selector reads no text until ROADMAP item 3: the question reaches only
+the student fusion, after the pick. This module builds every
+`SelectionMask`, also the no-selector arms' fixed pick (`uniform_mask`).
+`frame_keys` gathers the picked frames' rows from per-frame arrays of
+any width. The student forward calls it once, on the raw patches, and
+encodes only the S picked frames; the student fusion reads those keys
+unprojected, with its projection on the query side
 (`qformer.qformer_forward`), and fuses them with the question text.
 
 The pick has one rule, in training and at inference: each segment's
@@ -105,12 +108,20 @@ class SelectionMask:
 
 
 def frame_scores(x: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig) -> Tensor:
-    """[B, T, N, C] -> mean over channels -> per-frame MLP -> one score per
-    frame, [B, T, 1] -> the [B, S, T/S] scores of S contiguous segments."""
-    if x.ndim != 4 or x.shape[1] != cfg.frames:
-        raise ValueError(f"expected [B, {cfg.frames}, N, C], got {x.shape}")
-    embedded = nn.mlp_apply(params.embed, T.mean_axis(x, axis=3))
-    return T.reshape(T.matmul(embedded, params.scorer), (x.shape[0], cfg.segments, cfg.frames_per_segment))
+    """[B, T, N] per-patch summaries (`surrogates.pool_video`: the visual
+    features' channel mean, pooled through the folded projection) -> the
+    per-frame embedding MLP and the shared [N, 1] scorer, one score per
+    frame -> the [B, S, T/S] scores of S contiguous segments. One
+    `tensor.frame_scorer` op, which needs the embedding's steps to be fc,
+    ln, act, fc without fc biases."""
+    if x.ndim != 3 or x.shape[1] != cfg.frames:
+        raise ValueError(f"expected [B, {cfg.frames}, N], got {x.shape}")
+    steps = params.embed.steps
+    kinds = [step[0] for step in steps]
+    if kinds != ["fc", "ln", "act", "fc"] or steps[0][2] is not None or steps[3][2] is not None:
+        raise ValueError(f"the frame embedding must be fc, ln, act, fc without fc biases, got {kinds}")
+    (_, w1, _), (_, gain, bias), _, (_, w2, _) = steps
+    return T.frame_scorer(x, w1, gain, bias, w2, params.scorer, cfg.segments)
 
 
 def _mask(pick: np.ndarray, cfg: FramePrompterConfig, logits: Tensor | None = None) -> SelectionMask:
@@ -140,9 +151,9 @@ def sample_frames(logits: Tensor, cfg: FramePrompterConfig, keep_graph: bool = F
 
 
 def frame_keys(x_tokens: Tensor, mask: SelectionMask) -> Tensor:
-    """[B, T, N, width] per-frame tokens or features of any width -> the
-    selected frames' tokens, [B, S * N, width], in frame order: one
-    `take_rows` of the [B * T * N, width] token rows."""
+    """[B, T, N, width] per-frame patches, tokens or features of any width
+    -> the selected frames' rows, [B, S * N, width], in frame order: one
+    `take_rows` of the [B * T * N, width] rows."""
     b, t, n, width = x_tokens.shape
     if not all(mask.selected):
         raise ValueError("no attendable keys: a batch row selected zero frames")
@@ -151,8 +162,9 @@ def frame_keys(x_tokens: Tensor, mask: SelectionMask) -> Tensor:
     return T.take_rows(T.reshape(x_tokens, (b * t * n, width)), rows)
 
 
-def select_frames(video_features: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
+def select_frames(summaries: Tensor, params: FramePrompterParams, cfg: FramePrompterConfig,
                   keep_graph: bool = False) -> SelectionMask:
-    """Score the frames of [B, T, N, C] features and pick one per segment with
-    `sample_frames`; `keep_graph` keeps the mask's logits differentiable."""
-    return sample_frames(frame_scores(video_features, params, cfg), cfg, keep_graph)
+    """Score the frames of [B, T, N] per-patch summaries and pick one per
+    segment with `sample_frames`; `keep_graph` keeps the mask's logits
+    differentiable."""
+    return sample_frames(frame_scores(summaries, params, cfg), cfg, keep_graph)

@@ -1,13 +1,16 @@
 """Desk-scale stand-ins for the frozen pre-trained endpoints.
 
 The visual encoder is a fixed random linear projection per patch (never
-trained), the text encoder a small learnable embedding table with additive
-positions, and the answer head a bilinear scorer over answer-choice
-embeddings. Text encoder and answer head train during the teacher stage
-only, mirroring the frozen-LLM boundary afterwards. Each is one op
-(`tensor.embed_tokens`, `tensor.answer_logits`), bitwise the composition of
-primitives it replaces, so a request encodes its question in one op, its
-choices in two and scores them in one.
+trained). The selector reads its channel mean with the mean folded into
+the projection (`pool_video`), one [raw_dim] vector, so the student path
+projects only the patches of the frames it picks. The text encoder is a
+small learnable embedding table with additive positions, and the answer
+head a bilinear scorer over answer-choice embeddings. Text encoder and
+answer head train during the teacher stage only, mirroring the frozen-LLM
+boundary afterwards. Each is one op (`tensor.embed_tokens`,
+`tensor.answer_logits`), bitwise the composition of primitives it
+replaces, so a request encodes its question in one op, its choices in two
+and scores them in one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ CHANNELS = 8
 @dataclass
 class SurrogateVisualEncoder:
     """Fixed per-patch linear projection raw_dim -> channels. It reads any
-    number of frames and patches; the selector's embed MLP checks N."""
+    number of frames and patches; the selector's frame scorer checks N."""
 
     projection: Tensor  # [raw_dim, channels], requires_grad stays False
 
@@ -37,11 +40,28 @@ class SurrogateVisualEncoder:
         return cls(projection=Tensor(proj, requires_grad=False))
 
 
-def encode_video(raw: Tensor, enc: SurrogateVisualEncoder) -> Tensor:
-    """[B, T, N, raw_dim] -> [B, T, N, C]; no gradient into the projection."""
+def _check_width(raw: Tensor, enc: SurrogateVisualEncoder) -> None:
     if raw.shape[-1] != enc.projection.shape[0]:
         raise ValueError(f"raw feature width {raw.shape[-1]} does not match projection {enc.projection.shape}")
+
+
+def encode_video(raw: Tensor, enc: SurrogateVisualEncoder) -> Tensor:
+    """[..., raw_dim] patches -> [..., C] features, such as [B, T, N, raw_dim]
+    -> [B, T, N, C] or a student's [B, S * N, raw_dim] picked patches ->
+    [B, S * N, C]; no gradient into the projection."""
+    _check_width(raw, enc)
     return T.matmul(raw, enc.projection)
+
+
+def pool_video(raw: Tensor, enc: SurrogateVisualEncoder) -> Tensor:
+    """[B, T, N, raw_dim] -> [B, T, N]: each patch's channel mean of
+    `encode_video`, with the mean folded into the projection, so the raw
+    patches meet one [raw_dim] vector and no C-wide feature is formed. It
+    equals `encode_video(raw)`'s mean over C up to rounding. No op: the
+    raw video and the frozen projection take no gradient."""
+    _check_width(raw, enc)
+    pooled = enc.projection.data.mean(axis=1)
+    return Tensor(np.matmul(raw.data.reshape(-1, pooled.size), pooled).reshape(raw.shape[:-1]))
 
 
 @dataclass

@@ -18,9 +18,11 @@ keeps the composition as the reference); what it saves is the per-op
 Tensor, closure and graph node. `embed_tokens` (the text encoder: two row
 lookups and an add) and `answer_logits` (the answer head: a token mean, two
 products and two reshapes) are one op each on the same terms
-(tests/test_tensor.py keeps their compositions), and so is
-`blockdiag_identity`, which lays out the fusion's coefficient keys. Every
-op output is built by `_op`, which records a graph node only when an input
+(tests/test_tensor.py keeps their compositions), and so are
+`blockdiag_identity`, which lays out the fusion's coefficient keys, and
+`frame_scorer`, the selector's per-frame embedding, scorer and segment
+layout, which also reuses its forward temporaries in place. Every op
+output is built by `_op`, which records a graph node only when an input
 takes a gradient.
 
 Importing this module pins glibc's heap once, through `mallopt`:
@@ -413,6 +415,71 @@ def answer_logits(x: Tensor, score: Tensor, choices: Tensor) -> Tensor:
             _acc(x, np.broadcast_to(np.expand_dims(g, 1), x.data.shape) / x.data.shape[1])
 
     return _op(out_data, (x, score, choices), bw)
+
+
+def frame_scorer(x: Tensor, w1: Tensor, gain: Tensor, bias: Tensor, w2: Tensor, scorer: Tensor,
+                 segments: int) -> Tensor:
+    """The selector's frame scorer as one op: [B, T, N] per-patch summaries
+    -> relu(layer_norm(x @ w1, gain, bias)) @ w2 @ scorer, one score per
+    frame, laid out as the [B, S, T/S] scores of S contiguous segments; w1
+    is [N, H], gain and bias [H], w2 [H, N] and scorer [N, 1]. `segments`
+    must divide T.
+
+    The arrays, products and their order are those of composing `matmul`,
+    `layer_norm`, `relu`, `matmul`, `matmul` and `reshape`, forward and
+    backward, so results are bitwise those of the composition. The forward
+    reuses its temporaries in place where the backward does not read the
+    old value: the first product becomes the centred and then the
+    normalized activations, and relu runs on the affine output, whose
+    positive entries are the relu's.
+    """
+    if x.data.ndim != 3:
+        raise ValueError(f"expected [B, T, N] frame summaries, got {x.data.shape}")
+    b, t, n = x.data.shape
+    hidden = w1.data.shape[-1]
+    if (w1.data.shape != (n, hidden) or gain.data.shape != (hidden,) or bias.data.shape != (hidden,)
+            or w2.data.ndim != 2 or w2.data.shape[0] != hidden or scorer.data.shape != (w2.data.shape[1], 1)):
+        raise ValueError(f"frame scorer weights {w1.data.shape}, {gain.data.shape}, {bias.data.shape}, "
+                         f"{w2.data.shape}, {scorer.data.shape} do not compose over {n} patches")
+    if segments < 1 or t % segments:
+        raise ValueError(f"{segments} segments do not divide {t} frames")
+    xhat = np.matmul(x.data, w1.data)
+    xhat -= _mean(xhat, -1, keepdims=True)                   # centred
+    inv = 1.0 / np.sqrt(_mean(xhat * xhat, -1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv                                              # normalized
+    r = xhat * gain.data
+    r += bias.data
+    np.maximum(r, 0.0, out=r)
+    e = np.matmul(r, w2.data)
+    out_data = np.matmul(e, scorer.data).reshape(b, segments, t // segments)
+
+    def bw(g):
+        # each product only where an input takes a gradient through it
+        g = g.reshape(b, t, 1)
+        if scorer.requires_grad:
+            _acc(scorer, _unbroadcast(np.matmul(np.swapaxes(e, -1, -2), g), scorer.data.shape))
+        if not any(i.requires_grad for i in (x, w1, gain, bias, w2)):
+            return
+        g = np.matmul(g, np.swapaxes(scorer.data, -1, -2))
+        if w2.requires_grad:
+            _acc(w2, _unbroadcast(np.matmul(np.swapaxes(r, -1, -2), g), w2.data.shape))
+        if not any(i.requires_grad for i in (x, w1, gain, bias)):
+            return
+        g = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (r > 0.0)
+        if gain.requires_grad:
+            _acc(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            _acc(bias, _unbroadcast(g, bias.data.shape))
+        if not (x.requires_grad or w1.requires_grad):
+            return
+        gx = g * gain.data
+        g = (gx - _mean(gx, -1, keepdims=True) - xhat * _mean(gx * xhat, -1, keepdims=True)) * inv
+        if x.requires_grad:
+            _acc(x, np.matmul(g, np.swapaxes(w1.data, -1, -2)))
+        if w1.requires_grad:
+            _acc(w1, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w1.data.shape))
+
+    return _op(out_data, (x, w1, gain, bias, w2, scorer), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -237,27 +237,29 @@ def teacher_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, key_bia
 def student_forward(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, mode: str):
     """Selected-frames fusion: returns (logits, fusion output, SelectionMask).
 
-    Both modes take the selector's argmax pick; mode "train" keeps the
-    mask's logits differentiable for the selector's label cross entropy,
-    mode "infer" detaches them. With no selector, `prompter.uniform_mask`
-    stands in. `frame_keys` gathers the S picked frames once, from the
-    frozen C-wide features, and the student fusion reads those S * N keys
-    with `student_proj` and the question; no token is projected to d_model
-    (see `qformer_forward`). Its output is what the answer head scores:
-    both arms run this one model and differ only in their picks.
+    Both modes take the selector's argmax pick, scored from each patch's
+    channel mean (`surrogates.pool_video`); mode "train" keeps the mask's
+    logits differentiable for the selector's label cross entropy, mode
+    "infer" detaches them. With no selector, `prompter.uniform_mask`
+    stands in. `frame_keys` gathers the S picked frames' raw patches once,
+    and only those S * N patches are encoded, after the pick: no C-wide
+    feature of an unpicked frame is formed. The student fusion reads the
+    keys with `student_proj` and the question; no token is projected to
+    d_model (see `qformer_forward`). Its output is what the answer head
+    scores: both arms run this one model and differ only in their picks.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    feats = surrogates.encode_video(Tensor(batch.raw), bundle.visual_enc)  # [B, T, N, C]
+    raw = Tensor(batch.raw)  # [B, T, N, RAW_DIM]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
 
     if bundle.prompter_params is not None:
-        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      keep_graph=mode == "train")
+        mask = prompter.select_frames(surrogates.pool_video(raw, bundle.visual_enc), bundle.prompter_params,
+                                      cfg.prompter_cfg, keep_graph=mode == "train")
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
-    x_student = qformer.qformer_forward(bundle.student_qf, prompter.frame_keys(feats, mask),
-                                        bundle.student_proj, text)
+    keys = surrogates.encode_video(prompter.frame_keys(raw, mask), bundle.visual_enc)  # [B, S * N, C]
+    x_student = qformer.qformer_forward(bundle.student_qf, keys, bundle.student_proj, text)
     choices = surrogates.encode_choices(batch.choices, bundle.text_enc)
     logits = surrogates.score_answers(x_student, choices, bundle.answer)
     return logits, x_student, mask

@@ -52,3 +52,24 @@ def test_bound_reads_the_better_direction():
     assert m["change_won"] == 0 and not m["within_bound"] and m["median_change_frac"] == pytest.approx(-0.3)
     m = bench_pairs.summarize(fake_runs(parent, [130.0] * 4, "eval_videos_per_s"), [THROUGHPUT], ["w"])
     assert m["w"]["metrics"]["eval_videos_per_s"]["within_bound"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved_unless_the_runs_separate():
+    # parent quartiles 0.95 and 1.25 around a median of 1.0: an IQR of 30%
+    # of the median against a 24% bound
+    parent = [0.9, 0.95, 1.0, 1.0, 1.3, 1.25, 0.95, 1.0, 1.3, 0.9]
+    runs = fake_runs(parent, [p * 0.9 for p in parent], "full_p75_ms")
+    m = bench_pairs.summarize(runs, [LATENCY], ["w"])["w"]["metrics"]["full_p75_ms"]
+    assert m["parent_quartiles"][1] - m["parent_quartiles"][0] > 0.24 * m["parent_median"]
+    assert m["unresolved"] and m["change_won"] == 10 and m["within_bound"]
+    # every change run below every parent run: resolved despite the spread
+    runs = fake_runs(parent, [0.8] * 10, "full_p75_ms")
+    assert not bench_pairs.summarize(runs, [LATENCY], ["w"])["w"]["metrics"]["full_p75_ms"]["unresolved"]
+    # a narrow parent spread is resolved whatever the change reads
+    runs = fake_runs([1.0, 1.02, 0.98, 1.0], [1.1, 0.7, 1.3, 1.0], "full_p75_ms")
+    assert not bench_pairs.summarize(runs, [LATENCY], ["w"])["w"]["metrics"]["full_p75_ms"]["unresolved"]
+    # throughput reads the other direction
+    for change, unresolved in ((140.0, False), (120.0, True)):
+        runs = fake_runs([100.0, 70.0, 130.0, 100.0], [change] * 4, "eval_videos_per_s")
+        m = bench_pairs.summarize(runs, [THROUGHPUT], ["w"])["w"]["metrics"]["eval_videos_per_s"]
+        assert m["unresolved"] == unresolved

@@ -54,19 +54,19 @@ def test_wrong_softmax_backward_is_reported(monkeypatch):
     assert failed == {"softmax"}
 
 
-@pytest.mark.parametrize("op", ["embed_tokens", "answer_logits", "blockdiag_identity"])
+@pytest.mark.parametrize("op", ["embed_tokens", "answer_logits", "blockdiag_identity", "frame_scorer"])
 def test_wrong_fused_op_backward_is_reported(monkeypatch, op):
-    # the text encoder's, the answer head's and the fusion's key-layout ops:
-    # a planted fault fails that op's checks and no other op's
+    # the text encoder's, the answer head's, the fusion's key-layout and the
+    # selector's frame-scorer ops: a planted fault fails that op's checks
+    # and no other op's
     monkeypatch.setattr(T, op, with_scaled_backward(getattr(T, op)))
     failed = {r.name.split("[")[0] for r in checks.run_scope("ops") if not r.passed}
     assert failed == {op}
 
 
 def test_wrong_selector_backward_is_reported_end_to_end(monkeypatch):
-    # only the selector's frame embedding calls relu, so only the embedding
-    # sees the fault: the frame scorer sits after it, and the pick passes no
-    # gradient to the rest of the student
-    monkeypatch.setattr(T, "relu", with_scaled_backward(T.relu))
+    # the selector's embedding and scorer run in one op, so both see the
+    # fault; the pick passes no gradient to the rest of the student
+    monkeypatch.setattr(T, "frame_scorer", with_scaled_backward(T.frame_scorer))
     failed = {r.name for r in checks.run_scope("end2end") if not r.passed}
-    assert failed == {"end2end.embed"}
+    assert failed == {"end2end.embed", "end2end.scorer"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framepick import nn, prompter, synth
+from framepick import nn, prompter, surrogates, synth
 from framepick import tensor as T
 from framepick.prompter import (FramePrompterConfig, FramePrompterParams, SelectionMask,
                                 frame_keys, frame_scores, sample_frames, select_frames,
@@ -52,32 +52,52 @@ class TestConfig:
 
 
 class TestFrameScores:
-    """`frame_scores` pools, embeds and scores each frame on its own."""
+    """`frame_scores` embeds and scores each frame's per-patch summaries on
+    their own."""
 
     def test_constant_input_gives_constant_frames(self, cfg, params):
-        x = Tensor(np.full((2, cfg.frames, N, C), 1.5))
+        x = Tensor(np.full((2, cfg.frames, N), 1.5))
         out = frame_scores(x, params, cfg)
         assert out.shape == (2, cfg.segments, cfg.frames_per_segment)
-        # constancy propagates through the mean, the per-frame embedding and
-        # the shared scorer
+        # constancy propagates through the per-frame embedding and the
+        # shared scorer
         assert np.allclose(out.data, out.data[0, 0, 0])
         # regression pin so silent changes to the embed stack are caught
         assert out.data[0, 0, 0] == pytest.approx(out.data[1, 3, 1], abs=0)
 
     def test_single_channel_mean_is_identity(self, cfg, params, rng):
-        # the selector reads C from its input, so one channel needs no other config
-        x = rng.normal(size=(1, cfg.frames, N, 1))
-        pooled = T.mean_axis(Tensor(x), 3)
-        assert np.array_equal(pooled.data, x[..., 0])
-        out = frame_scores(Tensor(x), params, cfg)
+        # the selector reads the encoder's channel mean, folded into its
+        # projection; with one channel that mean is the channel itself
+        enc = surrogates.SurrogateVisualEncoder.init(6, 1, seed=3)
+        raw = Tensor(rng.normal(size=(1, cfg.frames, N, 6)))
+        pooled = surrogates.pool_video(raw, enc)
+        channel = surrogates.encode_video(raw, enc).data[..., 0]
+        assert np.abs(pooled.data - channel).max() <= 1e-14 * np.abs(channel).max()
+        out = frame_scores(pooled, params, cfg)
         assert out.shape == (1, cfg.segments, cfg.frames_per_segment)
 
     def test_shape_mismatch(self, cfg, params):
-        with pytest.raises(ValueError):
-            frame_scores(Tensor(np.zeros((1, 4, 4, 3))), params, cfg)
+        # wrong frame count, [B, T, N, C] features instead of summaries, no batch axis
+        for shape in [(1, 4, N), (1, 8, N, C), (8, N)]:
+            with pytest.raises(ValueError, match=r"expected \[B, 8, N\]"):
+                frame_scores(Tensor(np.zeros(shape)), params, cfg)
+
+    @pytest.mark.parametrize("edit", ["bias", "order", "extra"])
+    def test_embed_steps_must_be_fc_ln_act_fc(self, cfg, params, rng, edit):
+        # the one frame-scorer op has no slot for another step or an fc bias
+        steps = list(params.embed.steps)
+        if edit == "bias":
+            steps[0] = ("fc", steps[0][1], Tensor(np.zeros(cfg.embed_hidden)))
+        elif edit == "order":
+            steps[1], steps[2] = steps[2], steps[1]
+        else:
+            steps.append(nn.act_step())
+        bad = FramePrompterParams(embed=nn.MlpParams(steps), scorer=params.scorer)
+        with pytest.raises(ValueError, match="fc, ln, act, fc"):
+            frame_scores(Tensor(rng.normal(size=(1, cfg.frames, N))), bad, cfg)
 
     def test_gradient_through_chain(self, cfg, params, rng):
-        x = rng.normal(size=(1, cfg.frames, N, C))
+        x = rng.normal(size=(1, cfg.frames, N))
         w = rng.normal(size=(1, cfg.segments, cfg.frames_per_segment))
 
         def f(t):
@@ -94,13 +114,13 @@ class TestFrameScoreSegments:
         cfg = small_cfg(frames=8, segments=4)
         params = FramePrompterParams.init(cfg, N, rng)
         assert params.scorer.shape == (N, 1)
-        out = frame_scores(Tensor(rng.normal(size=(3, 8, N, C))), params, cfg)
+        out = frame_scores(Tensor(rng.normal(size=(3, 8, N))), params, cfg)
         assert out.shape == (3, 4, 2)
 
     def test_zero_weights_give_uniform_distribution(self, cfg, rng):
         params = FramePrompterParams.init(cfg, N, rng)
         params.scorer = Tensor(np.zeros((N, 1)))
-        logits = frame_scores(Tensor(rng.normal(size=(2, cfg.frames, N, C))), params, cfg)
+        logits = frame_scores(Tensor(rng.normal(size=(2, cfg.frames, N))), params, cfg)
         pi = T.softmax(logits, axis=-1)
         assert np.allclose(pi.data, 1.0 / cfg.frames_per_segment)
 
@@ -108,7 +128,7 @@ class TestFrameScoreSegments:
         # each frame's score reads that frame alone, wherever it sits: a
         # permutation of the T frames, across segments and within them,
         # permutes the [B, T] scores the same way
-        x = rng.normal(size=(2, cfg.frames, N, C))
+        x = rng.normal(size=(2, cfg.frames, N))
         base = frame_scores(Tensor(x), params, cfg).data.reshape(2, cfg.frames)
         perm = np.random.default_rng(3).permutation(cfg.frames)
         permuted = frame_scores(Tensor(x[:, perm]), params, cfg).data.reshape(2, cfg.frames)
@@ -234,7 +254,7 @@ class TestFrameKeys:
 
 class TestSelectFrames:
     def test_infer_is_deterministic(self, cfg, params, attn, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, N, C)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N)))
         tokens = Tensor(rng.normal(size=(2, cfg.frames, N, cfg.d_model)))
         text = Tensor(rng.normal(size=(2, 2, cfg.d_model)))
         a_out, a_mask = select_and_fuse(x, tokens, text, params, attn, cfg)
@@ -245,7 +265,7 @@ class TestSelectFrames:
     def test_canonical_32_to_4_selection_structure(self, rng):
         cfg = FramePrompterConfig(frames=32, segments=4, d_model=8, embed_hidden=6)
         params = FramePrompterParams.init(cfg, N, rng)
-        x = Tensor(rng.normal(size=(2, 32, 4, 3)))
+        x = Tensor(rng.normal(size=(2, 32, N)))
         mask = select_frames(x, params, cfg)
         for row in mask.selected:
             assert len(row) == 4
@@ -253,7 +273,7 @@ class TestSelectFrames:
                 assert s * 8 <= idx < (s + 1) * 8
 
     def test_train_mode_hard_row_sums(self, cfg, params, rng):
-        x = Tensor(rng.normal(size=(2, cfg.frames, N, C)))
+        x = Tensor(rng.normal(size=(2, cfg.frames, N)))
         mask = select_frames(x, params, cfg, keep_graph=True)
         fps = cfg.frames_per_segment
         assert [[i // fps for i in row] for row in mask.selected] == [list(range(cfg.segments))] * 2
@@ -264,7 +284,7 @@ class TestSelectFrames:
         # logits against per-segment labels reaches the select head, the
         # [N, 1] scorer, and matches finite differences
         params = FramePrompterParams.init(cfg, N, rng)
-        x = rng.normal(size=(1, cfg.frames, N, C))
+        x = rng.normal(size=(1, cfg.frames, N))
         labels = rng.integers(0, cfg.frames_per_segment, size=cfg.segments)
         head_w = params.scorer
 

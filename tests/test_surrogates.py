@@ -52,6 +52,21 @@ class TestVisualEncoder:
         enc = S.SurrogateVisualEncoder.init(6, 3, seed=0)
         with pytest.raises(ValueError):
             S.encode_video(Tensor(np.zeros((1, 2, 2, 5))), enc)
+        with pytest.raises(ValueError):
+            S.pool_video(Tensor(np.zeros((1, 2, 2, 5))), enc)
+
+    @pytest.mark.parametrize("frames", [32, 128])
+    @pytest.mark.parametrize("batch", [1, 8, 64])
+    def test_pool_is_the_channel_mean_of_the_features(self, frames, batch):
+        # the channel mean folded into the projection: equal up to rounding,
+        # and no op, so no graph
+        rng = np.random.default_rng(frames + batch)
+        enc = S.SurrogateVisualEncoder.init(24, S.CHANNELS, seed=4)
+        raw = Tensor(rng.normal(size=(batch, frames, 4, 24)))
+        pooled = S.pool_video(raw, enc)
+        ref = S.encode_video(raw, enc).data.mean(axis=3)
+        assert pooled.shape == (batch, frames, 4) and not pooled.requires_grad
+        assert np.abs(pooled.data - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestTextEncoder:

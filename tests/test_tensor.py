@@ -436,10 +436,8 @@ def composed_answer_logits(x, score, choices):
 TOKEN_LAYOUTS = {"B_Lq": (2, 3), "B_A_Lc": (2, 4, 3)}
 
 
-class TestFusedTextOps:
-    """`embed_tokens` and `answer_logits` are one op each with a hand-written
-    backward; each must equal the composition of primitives bitwise, in the
-    output and in the gradient of every input."""
+class FusedOpHarness:
+    """Runs a fused op and its reference composition on the same leaves."""
 
     def run(self, op, arrays, readout, grad_of=None, **fixed):
         """Apply `op` to fresh leaves; return the output and every gradient."""
@@ -455,6 +453,12 @@ class TestFusedTextOps:
         for name in grads:
             assert grads[name].shape == arrays[name].shape, name
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestFusedTextOps(FusedOpHarness):
+    """`embed_tokens` and `answer_logits` are one op each with a hand-written
+    backward; each must equal the composition of primitives bitwise, in the
+    output and in the gradient of every input."""
 
     def tables(self, rng):
         # 5 ids over 24 or 6 tokens, so most ids repeat and scatter-add
@@ -534,6 +538,69 @@ class TestFusedTextOps:
     def test_answer_logits_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             T.answer_logits(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 3, 5))))
+
+
+def composed_frame_scorer(x, w1, gain, bias, w2, scorer, segments):
+    b, t, _ = x.shape
+    embedded = T.matmul(T.relu(T.layer_norm(T.matmul(x, w1), gain, bias)), w2)
+    return T.reshape(T.matmul(embedded, scorer), (b, segments, t // segments))
+
+
+def frame_scorer_arrays(rng, b, t, n=4, hidden=32):
+    """Inputs of `frame_scorer` at the selector's default widths."""
+    return {"x": rng.normal(size=(b, t, n)), "w1": rng.normal(size=(n, hidden)) / 2,
+            "gain": 1.0 + 0.1 * rng.normal(size=hidden), "bias": 0.1 * rng.normal(size=hidden),
+            "w2": rng.normal(size=(hidden, n)) / np.sqrt(hidden), "scorer": rng.normal(size=(n, 1))}
+
+
+class TestFrameScorerOp(FusedOpHarness):
+    """`frame_scorer` is one op with a hand-written backward that reuses its
+    forward temporaries in place; it must equal the composition of
+    `matmul`, `layer_norm`, `relu` and `reshape` bitwise, in the output and
+    in the gradient of every input."""
+
+    @pytest.mark.parametrize("frames", [32, 128])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_matches_composition_bitwise(self, batch, frames):
+        rng = np.random.default_rng(batch + frames)
+        arrays = frame_scorer_arrays(rng, batch, frames)
+        readout = rng.normal(size=(batch, 4, frames // 4))
+        self.assert_bitwise(self.run(T.frame_scorer, arrays, readout, segments=4),
+                            self.run(composed_frame_scorer, arrays, readout, segments=4), arrays)
+        # the relu passes some units and stops others, so its mask is exercised
+        hidden = np.matmul(arrays["x"], arrays["w1"])
+        on = T.layer_norm(Tensor(hidden), Tensor(arrays["gain"]), Tensor(arrays["bias"])).data > 0.0
+        assert 0.0 < on.mean() < 1.0
+
+    @pytest.mark.parametrize("name", ["x", "w1", "gain", "bias", "w2", "scorer"])
+    def test_gradient_of_one_input(self, name):
+        rng = np.random.default_rng(10)
+        arrays = frame_scorer_arrays(rng, 2, 8)
+        readout = rng.normal(size=(2, 2, 4))
+        _, grads = self.run(T.frame_scorer, arrays, readout, grad_of=name, segments=2)
+        _, every = self.run(T.frame_scorer, arrays, readout, segments=2)
+        assert np.array_equal(grads.pop(name), every[name])
+        assert all(g is None for g in grads.values())
+
+    def test_forward_leaves_its_inputs_alone(self):
+        arrays = frame_scorer_arrays(np.random.default_rng(11), 2, 8)
+        copies = {name: a.copy() for name, a in arrays.items()}
+        T.frame_scorer(**{name: Tensor(a) for name, a in arrays.items()}, segments=2)
+        assert all(np.array_equal(arrays[name], copies[name]) for name in arrays)
+
+    @pytest.mark.parametrize("name, shape", [("x", (2, 8)), ("w1", (3, 32)), ("gain", (31,)),
+                                             ("bias", (32, 1)), ("w2", (32,)), ("scorer", (4, 2))])
+    def test_shape_mismatch_rejected(self, name, shape):
+        arrays = frame_scorer_arrays(np.random.default_rng(12), 2, 8)
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError):
+            T.frame_scorer(**{n: Tensor(a) for n, a in arrays.items()}, segments=2)
+
+    @pytest.mark.parametrize("segments", [0, 3])
+    def test_segments_must_divide_frames(self, segments):
+        arrays = frame_scorer_arrays(np.random.default_rng(13), 2, 8)
+        with pytest.raises(ValueError, match="do not divide"):
+            T.frame_scorer(**{n: Tensor(a) for n, a in arrays.items()}, segments=segments)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
@@ -668,5 +735,5 @@ def test_every_op_has_a_model_caller():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "T"):
                 called.add(node.func.attr)
-    assert len(ops) == 18
+    assert len(ops) == 19
     assert sorted(ops - called) == sorted(NO_MODEL_CALLER)

@@ -150,9 +150,9 @@ STAGE_DIGESTS = {
         "student/metrics.csv":
             "bf66b8bb3d76f6839d083e5d45505a03b7b1f4daa408971b11bef449ff9109f9",
         "student/student.ckpt":
-            "fd90f6716d29cefa247327087d7b1ba73dd060a304be8b8c43a149ec8e722f99",
+            "a6fcb2ce054d8ca91dcfcf7a5a00e308706c38a15de464f19864da36c9193c7f",
         "student/student_step2.ckpt":
-            "af99784dc4bfb35a005cb66a2fcf2d9b8a5d56832aa9c6c009526a4815c21fbd",
+            "6e084c83ac1304ffe05056575e4b503709d34b935b7c8ae0ac1f3ecb9f0cb07d",
         "teacher/metrics.csv":
             "d0de5ef433bf6fa489f44bdde564d7d98591dab358c5b84aed77ff13fe65634b",
         "teacher/teacher.ckpt":
@@ -652,8 +652,8 @@ def reference_forward(bundle, batch, cfg, mode, all_frames=False, key_mask=True)
     tokens = T.matmul(feats, bundle.student_proj)  # [B, T, N, d]
     text = surrogates.encode_text(batch.questions, bundle.text_enc)
     if bundle.prompter_params is not None:
-        mask = prompter.select_frames(feats, bundle.prompter_params, cfg.prompter_cfg,
-                                      keep_graph=mode == "train")
+        mask = prompter.select_frames(surrogates.pool_video(Tensor(batch.raw), bundle.visual_enc),
+                                      bundle.prompter_params, cfg.prompter_cfg, keep_graph=mode == "train")
     else:
         mask = prompter.uniform_mask(batch.raw.shape[0], cfg.prompter_cfg)
     key_bias = None
@@ -759,6 +759,28 @@ class TestProjectAfterGather:
         assert mask.selected == ref_mask.selected
 
 
+class TestEncodeAfterPick:
+    """The student encodes the raw patches of the frames it picked; that is
+    bitwise the same as encoding every frame and gathering the picks."""
+
+    @pytest.mark.parametrize("frames", [32, 128])
+    @pytest.mark.parametrize("batch", [1, 8, 64])
+    @pytest.mark.parametrize("selection", ["selector", "uniform"])
+    def test_matches_gathering_encoded_features_bitwise(self, frames, batch, selection):
+        rng = np.random.default_rng(frames + batch)
+        pcfg = trainer.FramePrompterConfig(frames=frames)
+        raw = Tensor(rng.normal(size=(batch, frames, 4, synth.RAW_DIM)))
+        enc = surrogates.SurrogateVisualEncoder.init(synth.RAW_DIM, surrogates.CHANNELS, seed=frames)
+        if selection == "selector":
+            params = prompter.FramePrompterParams.init(pcfg, 4, rng)
+            mask = prompter.select_frames(surrogates.pool_video(raw, enc), params, pcfg)
+        else:
+            mask = prompter.uniform_mask(batch, pcfg)
+        keys = surrogates.encode_video(prompter.frame_keys(raw, mask), enc)
+        assert keys.shape == (batch, pcfg.segments * 4, surrogates.CHANNELS)
+        assert np.array_equal(keys.data, prompter.frame_keys(surrogates.encode_video(raw, enc), mask).data)
+
+
 def op_outputs(monkeypatch, forward, *args):
     """Run `forward(*args)`; return every `tensor._op` output and the shape
     of every `numpy.matmul` product, which includes those inside an op."""
@@ -800,6 +822,23 @@ class TestRequestWork:
         assert ops and products
         assert max(math.prod(shape) for shape in [out.shape for out in ops] + products) < b * lv * d
 
+    def test_student_forms_no_feature_sized_array(self, monkeypatch):
+        # at T=128 the selector reads each patch's channel mean and only the
+        # S picked frames are encoded: no op output and no product, inside
+        # an op or not, is a C-wide array over every patch, the [B, T, N, C]
+        # features of all frames
+        frames = 128
+        data = synth.DatasetSpec(num_train=2, num_val=1, frames=frames, seed=0)
+        cfg = trainer.TrainConfig(seed=0, data=data, prompter_cfg=trainer.FramePrompterConfig(frames=frames))
+        bundle = trainer.build_models(cfg)
+        batch = trainer.make_batch(synth.generate(data)[0])
+        b, t, n, _ = batch.raw.shape
+        c = surrogates.CHANNELS
+        ops, products = op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")
+        shapes = [out.shape for out in ops] + products
+        assert ops and products and (b, cfg.prompter_cfg.segments * n, c) in shapes
+        assert [shape for shape in shapes if shape[-1] == c and math.prod(shape) >= b * t * n * c] == []
+
     def test_request_op_counts(self, monkeypatch):
         # one batch-1 request: the selector path, then the full path; a
         # change that adds ops to a request has to update these counts. A
@@ -808,7 +847,7 @@ class TestRequestWork:
         bundle = trainer.build_models(cfg)
         batch = trainer.make_batch(synth.generate(cfg.data)[1][:1])
         ops, _ = op_outputs(monkeypatch, trainer.student_forward, bundle, batch, cfg, "infer")
-        assert len(ops) == 18
+        assert len(ops) == 12
         assert not any(out.requires_grad for out in ops)
         ops, _ = op_outputs(monkeypatch, trainer.teacher_forward, bundle, batch, cfg)
         assert len(ops) == 10

@@ -23,8 +23,11 @@ The output holds the host context; per workload and end-to-end metric of
 per-pair values, each side's median and quartiles, the pairs the change
 won (ties count for neither side), whether the gain rule holds (the change
 wins at least 9 in 10 pairs and the medians differ by more than the
-parent's interquartile range) and whether the change's median stays within
-the metric's bound; and the ops of one batch-1 request on each path, with
+parent's interquartile range), whether the change's median stays within
+the metric's bound, and whether the metric is unresolved: the parent's
+interquartile range is wider than the bound (as a share of its median),
+so neither a gain nor a loss within the bound can be told from spread,
+unless every change run beats every parent run; and the ops of one batch-1 request on each path, with
 how many of them record a graph, on each side. A gain is met only if the
 rule holds over every pair run, not in a chosen sweep.
 """
@@ -121,6 +124,7 @@ def summarize(runs: dict, end_to_end: list, workloads) -> dict:
             wins = sum((c < p) if lower else (c > p) for p, c in values)
             q = quartiles(parent)
             gap = (q[1] - statistics.median(change)) * (1 if lower else -1)
+            separated = max(change) < min(parent) if lower else min(change) > max(parent)
             rel = (statistics.median(change) - q[1]) / q[1]
             table["metrics"][name] = {
                 "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
@@ -130,6 +134,7 @@ def summarize(runs: dict, end_to_end: list, workloads) -> dict:
                 "median_change_frac": rel, "change_won": wins, "pairs_run": len(values),
                 "gain_rule_met": wins >= 0.9 * len(values) and gap > q[2] - q[0],
                 "within_bound": (rel if lower else -rel) <= spec["bound"],
+                "unresolved": q[2] - q[0] > spec["bound"] * q[1] and not separated,
             }
         out[workload] = table
     return out
